@@ -8,7 +8,7 @@ GO ?= go
 # and mirrored by the CI workflow.
 RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ .
 
-.PHONY: all build fmt-check vet test race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
+.PHONY: all build fmt-check vet test perfbench-check race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
 
 all: build vet test
 
@@ -27,6 +27,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own Go module (perfbench/go.mod replaces
+# extremenc with ../), so `go test ./...` at the root never compiles it. Vet
+# and test it here so an API change it depends on cannot break it unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
@@ -199,7 +205,7 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 0.7
 
 # Everything the CI workflow runs, reproducible locally with one command.
-ci: build fmt-check vet staticcheck test race fuzz-regress chaos bench-smoke serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke
+ci: build fmt-check vet staticcheck test perfbench-check race fuzz-regress chaos bench-smoke serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke
 
 # Run every example program.
 examples:

@@ -293,20 +293,19 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	p := rlnc.Params{BlockCount: opt.blockCount, BlockSize: opt.blockSize}
 	media := makeMedia(opt.segments*p.SegmentSize()-13, opt.seed)
 
-	scfg := netio.DefaultServerConfig()
-	scfg.QueueDepth = opt.queueDepth
-	scfg.Seed = opt.seed
-	// Measurement clients drain at full speed, but the deepest waves starve
-	// individual readers for whole scheduler rotations; a wide deadline
-	// budget keeps the default hostile-peer eviction profile from shrinking
-	// the fleet mid-wave.
-	scfg.WriteDeadline = 30 * time.Second
-	scfg.WriteRetries = 4
-	scfg.PumpShards = wave.shards
-	scfg.Fanout = wave.fanout
-	scfg.Mode = wave.wire
-	scfg.Metrics = reg
-	srv, err := netio.NewServerFromConfig(media, p, scfg)
+	srv, err := netio.NewServer(media, p,
+		netio.WithQueueDepth(opt.queueDepth),
+		netio.WithServerSeed(opt.seed),
+		// Measurement clients drain at full speed, but the deepest waves
+		// starve individual readers for whole scheduler rotations; a wide
+		// deadline budget keeps the default hostile-peer eviction profile
+		// from shrinking the fleet mid-wave.
+		netio.WithWriteDeadline(30*time.Second),
+		netio.WithWriteRetries(4),
+		netio.WithPumpShards(wave.shards),
+		netio.WithFanout(wave.fanout),
+		netio.WithWireMode(wave.wire),
+		netio.WithMetricsRegistry(reg))
 	if err != nil {
 		return res, err
 	}
@@ -543,27 +542,26 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	media := makeMedia(opt.segments*p.SegmentSize()-13, opt.seed)
 
 	var transitions int
-	scfg := netio.DefaultServerConfig()
-	// A shallow queue and wide write deadlines: slow readers must saturate
-	// the queues (occupancy and pump stalls are the pressure signal), not be
-	// evicted as hostile peers.
-	scfg.QueueDepth = 8
-	scfg.WriteDeadline = 30 * time.Second
-	scfg.WriteRetries = 4
-	scfg.Seed = opt.seed
-	scfg.Metrics = reg
-	scfg.RetryAfter = 20 * time.Millisecond
-	scfg.Brownout = netio.BrownoutConfig{
-		Interval: 25 * time.Millisecond,
-		StepUp:   0.5,
-		StepDown: 0.1,
-		Hold:     3,
-		OnTransition: func(from, to netio.BrownoutRung, pressure float64) {
-			transitions++
-			lg.Printf("brownout: %s -> %s (pressure %.2f)", from, to, pressure)
-		},
-	}
-	srv, err := netio.NewServerFromConfig(media, p, scfg)
+	srv, err := netio.NewServer(media, p,
+		// A shallow queue and wide write deadlines: slow readers must
+		// saturate the queues (occupancy and pump stalls are the pressure
+		// signal), not be evicted as hostile peers.
+		netio.WithQueueDepth(8),
+		netio.WithWriteDeadline(30*time.Second),
+		netio.WithWriteRetries(4),
+		netio.WithServerSeed(opt.seed),
+		netio.WithMetricsRegistry(reg),
+		netio.WithRetryAfter(20*time.Millisecond),
+		netio.WithBrownout(netio.BrownoutConfig{
+			Interval: 25 * time.Millisecond,
+			StepUp:   0.5,
+			StepDown: 0.1,
+			Hold:     3,
+			OnTransition: func(from, to netio.BrownoutRung, pressure float64) {
+				transitions++
+				lg.Printf("brownout: %s -> %s (pressure %.2f)", from, to, pressure)
+			},
+		}))
 	if err != nil {
 		return err
 	}

@@ -26,12 +26,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -64,7 +65,7 @@ func run(args []string, stdout io.Writer) error {
 	originPace := fs.Duration("origin-pace", 0, "origin pump-round floor, modeling a constrained uplink (0 = unpaced)")
 	seed := fs.Int64("seed", 7, "PRNG seed for media, coefficients, and chaos")
 	chaos := fs.Bool("chaos", false, "wrap inter-tier links in faultnet corruption + resets")
-	kill := fs.Int("kill", 0, "relays to kill mid-transfer (remediation must reroute their leaves)")
+	kill := fs.Int("kill", 0, "relays to kill mid-transfer, chosen among those serving an unfinished leaf (remediation must reroute their leaves)")
 	killAt := fs.Int64("kill-at", 30, "total leaf records received before the kill fires")
 	warm := fs.Bool("warm", true, "wait for every relay to hold full rank before starting leaves")
 	metricsAddr := fs.String("metrics", "", "HTTP address for /metrics, /metrics.json and /debug/pprof/ (empty = off)")
@@ -114,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 	// abruptly and the remediator must walk their leaves to survivors.
 	var m *mesh.Mesh
 	var tapped atomic.Int64
-	var killOnce sync.Once
+	var killed atomic.Int64 // relays the kill trigger took down
 	topo := mesh.Topology{
 		Media:             media,
 		Params:            rlnc.Params{BlockCount: *n, BlockSize: *k},
@@ -142,20 +143,10 @@ func run(args []string, stdout io.Writer) error {
 		topo.Health = mesh.HealthConfig{SuspectAfter: 250 * time.Millisecond, DeadAfter: time.Second}
 	}
 	if *kill > 0 {
-		victims := make([]string, *kill)
-		for i := range victims {
-			victims[i] = fmt.Sprintf("relay-%d", i)
-		}
-		topo.LeafFetchOpts = func(int) []netio.FetcherOption {
+		topo.LeafFetchOpts = func(leaf int) []netio.FetcherOption {
 			return []netio.FetcherOption{netio.WithRecordTap(func(*rlnc.CodedBlock) {
 				if tapped.Add(1) == *killAt {
-					killOnce.Do(func() {
-						for _, id := range victims {
-							if err := m.KillRelay(id); err != nil {
-								fmt.Fprintf(os.Stderr, "ncmesh: kill %s: %v\n", id, err)
-							}
-						}
-					})
+					killed.Store(int64(killRelays(ctx, m, leaf, *kill)))
 				}
 			})}
 		}
@@ -185,7 +176,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *warm {
-		if err := waitWarm(ctx, m, *n); err != nil {
+		if err := m.WaitWarm(ctx); err != nil {
 			return err
 		}
 	}
@@ -213,6 +204,10 @@ func run(args []string, stdout io.Writer) error {
 
 	snap := m.Snapshot()
 	if *kill > 0 {
+		killed := int(killed.Load())
+		if killed == 0 {
+			return fmt.Errorf("no relay killed: the wave finished before %d records arrived", *killAt)
+		}
 		// Leaves can finish before the failure detector's DeadAfter window
 		// closes; give the health sweeps time to bury the victims.
 		for {
@@ -222,12 +217,12 @@ func run(args []string, stdout io.Writer) error {
 					dead++
 				}
 			}
-			if dead >= *kill {
+			if dead >= killed {
 				break
 			}
 			select {
 			case <-ctx.Done():
-				return fmt.Errorf("killed %d relays but the pool buried only %d: %w", *kill, dead, ctx.Err())
+				return fmt.Errorf("killed %d relays but the pool buried only %d: %w", killed, dead, ctx.Err())
 			case <-time.After(10 * time.Millisecond):
 			}
 			snap = m.Snapshot()
@@ -257,24 +252,39 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// waitWarm blocks until every live relay holds the origin's full rank, so
-// the leaf wave measures relay fan-out rather than relay warm-up.
-func waitWarm(ctx context.Context, m *mesh.Mesh, blockCount int) error {
-	full := m.Origin().Segments() * blockCount
-	for {
-		warm := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
+// killRelays runs inside leaf's record tap, so leaf is mid-fetch. It kills
+// the relay serving leaf and up to want-1 more relays that still have an
+// unfinished leaf routed to them, then holds leaf until the remediator has
+// moved it off its dead relay (or ctx ends). Without the hold the leaf can
+// finish from records already in its socket buffer before a health sweep
+// marks the relay Suspect, leaving nothing to remediate. It returns how
+// many relays died.
+func killRelays(ctx context.Context, m *mesh.Mesh, leaf, want int) int {
+	coord := m.Coordinator()
+	first, ok := coord.RouteOf(leaf)
+	if !ok {
+		return 0
+	}
+	victims := []string{first}
+	routes := coord.Routes()
+	for _, l := range slices.Sorted(maps.Keys(routes)) {
+		if id := routes[l]; len(victims) < want && !slices.Contains(victims, id) {
+			victims = append(victims, id)
 		}
-		if warm == len(m.Relays()) {
-			return nil
+	}
+	for _, id := range victims {
+		if err := m.KillRelay(id); err != nil {
+			fmt.Fprintf(os.Stderr, "ncmesh: kill %s: %v\n", id, err)
+		}
+	}
+	for {
+		if id, _ := coord.RouteOf(leaf); id != first {
+			return len(victims)
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("relays never warmed (%d/%d at full rank): %w", warm, len(m.Relays()), ctx.Err())
-		case <-time.After(2 * time.Millisecond):
+			return len(victims)
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
 }

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,6 +149,34 @@ func TestFetchResumeFlow(t *testing.T) {
 	}
 	if _, err := os.Stat(state); !os.IsNotExist(err) {
 		t.Fatal("resume state not removed after success")
+	}
+}
+
+// TestFetchRejectsInvalidFlags pins that fetch refuses an inverted or
+// negative backoff and a negative attempt budget up front, with a
+// validation error rather than the dial error of a fetch that ran anyway.
+func TestFetchRejectsInvalidFlags(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	dead := l.Addr().String()
+	l.Close()
+	out := filepath.Join(t.TempDir(), "out.bin")
+	for _, tc := range []struct {
+		flags   []string
+		wantErr string
+	}{
+		{[]string{"-backoff", "3s", "-backoff-max", "1s"}, "exceeds max"},
+		{[]string{"-backoff", "-1s"}, "negative backoff"},
+		{[]string{"-attempts", "-1"}, "negative attempt budget"},
+	} {
+		args := append([]string{"fetch", "-addr", dead, "-out", out, "-timeout", "2s"}, tc.flags...)
+		err := run(args)
+		var opErr *net.OpError
+		if err == nil || errors.As(err, &opErr) || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("fetch %v = %v, want a validation error containing %q", tc.flags, err, tc.wantErr)
+		}
 	}
 }
 

@@ -219,7 +219,7 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 		m: m, media: media, rng: rng, stdout: stdout, verbose: *verbose,
 		maxKills: *relays - 2,
 	}
-	if err := s.warm(ctx, *n); err != nil {
+	if err := s.m.WaitWarm(ctx); err != nil {
 		return err
 	}
 
@@ -307,26 +307,6 @@ type soak struct {
 	leavesDone int
 	redirects  int
 	peakRung   int
-}
-
-func (s *soak) warm(ctx context.Context, blockCount int) error {
-	full := s.m.Origin().Segments() * blockCount
-	for {
-		warm := 0
-		for _, r := range s.m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(s.m.Relays()) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("relays never warmed: %w", ctx.Err())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
 }
 
 func (s *soak) step(ctx context.Context, ev event) error {

@@ -166,7 +166,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer m.Close()
 
-	if err := warm(ctx, m, *n); err != nil {
+	if err := m.WaitWarm(ctx); err != nil {
 		return err
 	}
 	if *verbose {
@@ -324,27 +324,6 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "trace smoke ok (seed %d): %d generations, %d spans, 0 orphans, %d exemplars, flight %v\n",
 		*seed, len(asm.Generations), asm.Spans, len(exemplars), flightKinds)
 	return nil
-}
-
-// warm blocks until every relay holds full upstream rank.
-func warm(ctx context.Context, m *mesh.Mesh, blockCount int) error {
-	full := m.Origin().Segments() * blockCount
-	for {
-		ready := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				ready++
-			}
-		}
-		if ready == len(m.Relays()) {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("relays never warmed: %w", ctx.Err())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
 }
 
 // stallWave pins the first relay with non-reading raw clients until its

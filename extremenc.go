@@ -393,8 +393,6 @@ var (
 	WithEncodeBatch = netio.WithEncodeBatch
 	// WithMaxSessions caps concurrent sessions.
 	WithMaxSessions = netio.WithMaxSessions
-	// WithEncoderWorkers sets the shared encoder's worker count.
-	WithEncoderWorkers = netio.WithEncoderWorkers
 	// WithServerSeed fixes the pump's coefficient-stream seed.
 	WithServerSeed = netio.WithServerSeed
 	// WithWireMode selects the serving wire discipline (dense or
@@ -439,15 +437,8 @@ const (
 	BrownoutReject = netio.BrownoutReject
 )
 
-// Literal serving configuration (see internal/netio). The functional options
-// above and these structs are two spellings of one configuration path: both
-// run the same Validate/normalize pipeline, so a config that passes
-// Validate behaves identically however it was assembled.
+// Serving fan-out and sharding (see internal/netio).
 type (
-	// NetServerConfig is the complete serving configuration.
-	NetServerConfig = netio.ServerConfig
-	// NetFetcherConfig is the complete resilient-fetcher configuration.
-	NetFetcherConfig = netio.FetcherConfig
 	// FanoutMode selects how the encoder pump hands records to session
 	// queues — the serving-side optimization ladder.
 	FanoutMode = netio.FanoutMode
@@ -474,32 +465,6 @@ const (
 // ParseFanoutMode parses a FanoutMode from its flag spelling ("amortized",
 // "record").
 func ParseFanoutMode(s string) (FanoutMode, error) { return netio.ParseFanoutMode(s) }
-
-// DefaultNetServerConfig returns the serving defaults the option-based
-// constructors start from.
-func DefaultNetServerConfig() NetServerConfig { return netio.DefaultServerConfig() }
-
-// DefaultNetFetcherConfig returns the fetcher defaults the option-based
-// constructor starts from.
-func DefaultNetFetcherConfig() NetFetcherConfig { return netio.DefaultFetcherConfig() }
-
-// NewNetServerFromConfig builds a push-streaming server from a literal
-// config; cfg.Validate failures are returned.
-func NewNetServerFromConfig(media []byte, p Params, cfg NetServerConfig) (*NetServer, error) {
-	return netio.NewServerFromConfig(media, p, cfg)
-}
-
-// NewSourceServerFromConfig builds a RecordSource-backed server from a
-// literal config.
-func NewSourceServerFromConfig(src RecordSource, cfg NetServerConfig) (*NetServer, error) {
-	return netio.NewSourceServerFromConfig(src, cfg)
-}
-
-// NewFetcherFromConfig builds a resilient Fetcher from a literal config;
-// cfg.Validate failures are returned.
-func NewFetcherFromConfig(dial DialFunc, cfg NetFetcherConfig) (*Fetcher, error) {
-	return netio.NewFetcherFromConfig(dial, cfg)
-}
 
 // Pluggable serving sources (see internal/netio): a NetServer normally
 // serves a media object, but any RecordSource — most notably a mesh relay's

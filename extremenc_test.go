@@ -559,10 +559,10 @@ func TestServingFacade(t *testing.T) {
 	}
 }
 
-// TestConfigAPIFacade exercises the literal-config construction surface
-// through the facade: a sharded server and a fetcher built from config
-// structs, the versioned shard-aware snapshot, and the fanout-mode spelling
-// round-trip.
+// TestConfigAPIFacade exercises the option-based configuration surface
+// through the facade: a sharded server and a fetcher built from options,
+// the versioned shard-aware snapshot, the fanout-mode spelling round-trip,
+// and rejection of invalid option values.
 func TestConfigAPIFacade(t *testing.T) {
 	p := extremenc.Params{BlockCount: 8, BlockSize: 256}
 	payload := make([]byte, 2*p.SegmentSize()-19)
@@ -576,33 +576,24 @@ func TestConfigAPIFacade(t *testing.T) {
 		t.Fatal("fanout spellings do not round-trip")
 	}
 
-	scfg := extremenc.DefaultNetServerConfig()
-	scfg.PumpShards = 2
-	scfg.Fanout = fanout
-	scfg.Seed = 7
-	scfg.WriteDeadline = 2 * time.Second
-	if err := scfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := extremenc.NewNetServerFromConfig(payload, p, scfg)
+	srv, err := extremenc.NewNetServer(payload, p,
+		extremenc.WithPumpShards(2),
+		extremenc.WithFanout(fanout),
+		extremenc.WithServerSeed(7),
+		extremenc.WithWriteDeadline(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dialPipe := pipeServer(t, srv)
 
-	fcfg := extremenc.DefaultNetFetcherConfig()
-	fcfg.MaxAttempts = 2
-	f, err := extremenc.NewFetcherFromConfig(
-		func(context.Context) (net.Conn, error) { return dialPipe(), nil }, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Fetch(context.Background())
+	res, err := extremenc.NewFetcher(
+		func(context.Context) (net.Conn, error) { return dialPipe(), nil },
+		extremenc.WithMaxAttempts(2)).Fetch(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(res.Payload, payload) {
-		t.Fatal("config-built fetch payload differs")
+		t.Fatal("option-built fetch payload differs")
 	}
 
 	// The offered == sent + shed ledger is exact only after teardown;
@@ -626,15 +617,19 @@ func TestConfigAPIFacade(t *testing.T) {
 			len(snap.Shards), shardSum, snap.BlocksOffered)
 	}
 
-	// Validate failures surface through the FromConfig constructors.
-	if _, err := extremenc.NewNetServerFromConfig(payload, p,
-		extremenc.NetServerConfig{PumpShards: -1}); err == nil {
-		t.Fatal("NewNetServerFromConfig accepted negative shards")
+	// Invalid option values are rejected: by the server constructor, and by
+	// Fetch before it dials.
+	if _, err := extremenc.NewNetServer(payload, p, extremenc.WithPumpShards(-1)); err == nil {
+		t.Fatal("NewNetServer accepted negative shards")
 	}
-	if _, err := extremenc.NewFetcherFromConfig(
-		func(context.Context) (net.Conn, error) { return nil, context.Canceled },
-		extremenc.NetFetcherConfig{Jitter: 3}); err == nil {
-		t.Fatal("NewFetcherFromConfig accepted out-of-range jitter")
+	if _, err := extremenc.NewFetcher(
+		func(context.Context) (net.Conn, error) {
+			t.Error("Fetch dialed despite an inverted backoff range")
+			return nil, context.Canceled
+		},
+		extremenc.WithBackoff(3*time.Second, time.Second),
+		extremenc.WithMaxAttempts(1)).Fetch(context.Background()); err == nil {
+		t.Fatal("Fetch accepted an inverted backoff range")
 	}
 }
 

@@ -461,6 +461,35 @@ func (m *Mesh) WaitLeaves(ctx context.Context, leaves ...*Leaf) error {
 	return nil
 }
 
+// WaitWarm blocks until every live relay (not killed by KillRelay) holds the
+// origin's full rank — segment count × block count — or ctx ends. A wave
+// started after it measures relay fan-out rather than relay warm-up.
+func (m *Mesh) WaitWarm(ctx context.Context) error {
+	full := m.origin.Segments() * m.topo.Params.BlockCount
+	for {
+		warm, live := 0, 0
+		for _, r := range m.relays {
+			select {
+			case <-m.hbStops[r.ID()]:
+				continue // killed
+			default:
+			}
+			live++
+			if r.TotalRank() == full {
+				warm++
+			}
+		}
+		if warm == live {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("mesh: relays never warmed (%d/%d at full rank): %w", warm, live, ctx.Err())
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
 // KillRelay simulates the abrupt death of relay id: heartbeats stop and the
 // relay's listener, server, and upstream fetch are torn down. Leaves routed
 // to it are left to the remediation loop.

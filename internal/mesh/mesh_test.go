@@ -108,6 +108,39 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 	}
 }
 
+// TestWaitWarmCountsLiveRelays: an origin paced to one round per hour can
+// never warm a relay, so WaitWarm must give up at its context with the warm
+// count in the error, and a killed relay must drop out of the count.
+func TestWaitWarmCountsLiveRelays(t *testing.T) {
+	p := rlnc.Params{BlockCount: 16, BlockSize: 64}
+	m, err := New(Topology{
+		Media: testMedia(t, 3*p.SegmentSize(), 13), Params: p,
+		Relays: 2, OriginPace: time.Hour, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	expectCold := func(want string) {
+		t.Helper()
+		wctx, wcancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer wcancel()
+		if err := m.WaitWarm(wctx); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("WaitWarm = %v, want error containing %q", err, want)
+		}
+	}
+	expectCold("0/2 at full rank")
+	if err := m.KillRelay("relay-0"); err != nil {
+		t.Fatal(err)
+	}
+	expectCold("0/1 at full rank")
+}
+
 // TestRelayXorRecode: a systematic origin feeding an XOR-recode relay. The
 // relay re-declares ModeSystematic downstream so its binary recombinations
 // travel in the compact XNC2 encoding, and the leaf must still reassemble
@@ -248,22 +281,10 @@ func TestMeshSmoke(t *testing.T) {
 	// Warm the relay tier: every relay holds the full object before the
 	// measured wave starts (their fetches released the origin's only
 	// session slot on completion).
-	full := m.Origin().Segments() * p.BlockCount
-	warmDeadline := time.Now().Add(time.Minute)
-	for {
-		warm := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(m.Relays()) {
-			break
-		}
-		if time.Now().After(warmDeadline) {
-			t.Fatalf("relays never warmed: %+v", m.Pool().Snapshot())
-		}
-		time.Sleep(2 * time.Millisecond)
+	warmCtx, warmCancel := context.WithTimeout(ctx, time.Minute)
+	defer warmCancel()
+	if err := m.WaitWarm(warmCtx); err != nil {
+		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
 	}
 
 	// Leg 1a: the mesh wave.
@@ -483,21 +504,10 @@ func TestMeshRollingRestart(t *testing.T) {
 	defer m.Close()
 
 	// Warm every relay so leaves never depend on the origin.
-	full := m.Origin().Segments() * p.BlockCount
-	for deadline := time.Now().Add(time.Minute); ; {
-		warm := 0
-		for _, r := range m.Relays() {
-			if r.TotalRank() == full {
-				warm++
-			}
-		}
-		if warm == len(m.Relays()) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("relays never warmed: %+v", m.Pool().Snapshot())
-		}
-		time.Sleep(2 * time.Millisecond)
+	warmCtx, warmCancel := context.WithTimeout(ctx, time.Minute)
+	defer warmCancel()
+	if err := m.WaitWarm(warmCtx); err != nil {
+		t.Fatalf("%v: %+v", err, m.Pool().Snapshot())
 	}
 
 	redirected := func(leaves []*Leaf) int {

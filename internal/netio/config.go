@@ -51,105 +51,40 @@ func ParseFanoutMode(s string) (FanoutMode, error) {
 	}
 }
 
-// ServerConfig is the complete serving configuration. NewServer and
-// NewSourceServer build one from DefaultServerConfig plus functional options;
-// NewServerFromConfig and NewSourceServerFromConfig accept a literal struct.
-// Both construction paths share the same Validate/normalize pipeline, so a
-// config that passes Validate behaves identically however it was assembled.
-//
-// Zero fields marked "0 → default" are replaced during normalization; the
-// other zero values are meaningful (no write deadline, no session cap, no
-// pacing) and taken literally — start from DefaultServerConfig to get the
-// option-path defaults.
-type ServerConfig struct {
-	// QueueDepth bounds each session's send queue, in records (0 → 64,
-	// negative → 1). When a client drains slower than the pump produces,
-	// records beyond the bound are shed instead of stalling the pump — RLNC
-	// makes the loss harmless, the peer only needs enough blocks, not
-	// specific ones.
-	QueueDepth int
-	// WriteDeadline bounds every record flush; a flush that misses it is
-	// retried (resuming at the byte where it stopped) WriteRetries times and
-	// the session is then dropped. Zero disables deadlines
-	// (DefaultServerConfig sets 5s).
-	WriteDeadline time.Duration
-	// WriteRetries is how many extra deadline windows a timed-out flush gets
-	// before the session is dropped (negative → 0; DefaultServerConfig
-	// sets 1).
-	WriteRetries int
-	// EncodeBatch is how many coded blocks each pump generates per segment
-	// per round (0 → max(4, blockCount/4)).
-	EncodeBatch int
-	// MaxSessions caps concurrent sessions across all shards; connections
-	// beyond the cap are closed immediately and counted in
-	// Snapshot.SessionsRejected. Zero means unlimited.
-	MaxSessions int
-	// EncoderWorkers is the worker count of each shard's parallel encoder
-	// (0 → the SharedPool's worker count). Media-backed servers only.
-	EncoderWorkers int
-	// Seed is the base seed of the coefficient stream (0 → 1). Shard i
-	// derives its stream from Seed and i, so a single-shard server
-	// reproduces the unsharded block sequence exactly.
-	Seed int64
-	// Mode is the session coding discipline declared in every handshake
-	// (default ModeDense). NewSourceServer overrides it with the source's
-	// declared mode.
-	Mode WireMode
-	// Pace floors the interval between pump rounds, bounding each shard's
-	// emission rate at EncodeBatch records per Pace regardless of CPU
-	// headroom. It models a capacity-constrained coding engine; with S
-	// shards the server models S engines. Zero leaves pumps unpaced.
-	Pace time.Duration
-	// PumpShards is the number of independent encoder pumps; sessions are
-	// assigned to the least-loaded shard at handshake (0 → 1). Each shard
-	// owns its sessions, its record source, and its slice of the
-	// accounting, rolled up in Snapshot.
-	PumpShards int
-	// Fanout selects the pump-to-queue hand-off rung; see FanoutMode.
-	Fanout FanoutMode
-	// RetryAfter is the hint carried in BUSY admission decisions (session
-	// cap, brownout reject, address-less drain): how long the client should
-	// wait before redialing (0 → 250ms).
-	RetryAfter time.Duration
-	// Brownout enables the overload controller when Interval > 0; see
-	// BrownoutConfig. Zero disables brownout entirely.
-	Brownout BrownoutConfig
-	// Metrics, when non-nil, registers the server's counters and session
-	// gauges under the "netio" prefix. Each registry admits one server.
-	Metrics *obs.Registry
-	// TraceNode, when non-empty, labels this server's spans and flight
-	// events and — if the process-global trace recorder is enabled at
-	// construction — turns on trace propagation: the handshake negotiates
-	// hsFlagTrace, an XNCT record declares the transfer's trace context,
-	// and every record carries its pump round's span ID.
-	TraceNode string
-	// TraceID is the transfer trace to join (0 → mint a fresh one). A relay
-	// sets this to its upstream's trace so spans link across tiers.
-	TraceID trace.TraceID
-	// TraceParent is the parent span of this server's root span (0 → the
-	// root is a trace root). A relay sets this to its upstream server's
-	// root span.
-	TraceParent trace.SpanID
+// serverConfig is the serving configuration the ServerOptions write to.
+// Fields marked "0 → default" are resolved by normalized; every other zero
+// value is meaningful (no write deadline, no session cap, no pacing) and is
+// kept as given.
+type serverConfig struct {
+	QueueDepth    int           // per-session send queue, records (0 → 64, negative → 1)
+	WriteDeadline time.Duration // per-flush deadline; zero disables
+	WriteRetries  int           // extra deadline windows before a drop (negative → 0)
+	EncodeBatch   int           // blocks per segment per pump round (0 → max(4, n/4))
+	MaxSessions   int           // concurrent-session cap across shards; zero = unlimited
+	Seed          int64         // base coefficient-stream seed (0 → 1)
+	Mode          WireMode      // NewSourceServer overrides it with the source's mode
+	Pace          time.Duration // pump-round floor; zero leaves pumps unpaced
+	PumpShards    int           // independent encoder pumps (0 → 1)
+	Fanout        FanoutMode
+	RetryAfter    time.Duration // BUSY retry hint (0 → 250ms)
+	Brownout      BrownoutConfig
+	Metrics       *obs.Registry
+	TraceNode     string
+	TraceID       trace.TraceID
+	TraceParent   trace.SpanID
 }
 
-// DefaultServerConfig returns the defaults the functional-option path starts
-// from: queue depth 64, a 5s write deadline with one retry, base seed 1,
-// dense mode, one pump shard, amortized fan-out.
-func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		QueueDepth:    64,
-		WriteDeadline: 5 * time.Second,
-		WriteRetries:  1,
-		Seed:          1,
-		PumpShards:    1,
-	}
+// serverDefaults holds the only defaults whose zero value means
+// something else: a 5s write deadline (zero disables deadlines) with one
+// retry (zero drops on the first miss). normalized resolves the rest.
+func serverDefaults() serverConfig {
+	return serverConfig{WriteDeadline: 5 * time.Second, WriteRetries: 1}
 }
 
-// Validate rejects a configuration no construction path would accept:
-// an unknown wire or fanout mode, or a negative shard count. Out-of-range
-// numeric fields are not errors — normalization clamps or defaults them,
-// matching the historical option behavior.
-func (c *ServerConfig) Validate() error {
+// validate rejects what no option value can mean: an unknown wire or fanout
+// mode, or a negative shard count. Other out-of-range numbers are not
+// errors — normalized clamps or defaults them.
+func (c *serverConfig) validate() error {
 	if c.Mode > ModeSystematic {
 		return fmt.Errorf("netio: unknown wire mode %d", c.Mode)
 	}
@@ -163,8 +98,8 @@ func (c *ServerConfig) Validate() error {
 }
 
 // normalized returns a copy with every "0 → default" field resolved, using
-// blockCount for the batch default. Both constructors call Validate first.
-func (c ServerConfig) normalized(blockCount int) ServerConfig {
+// blockCount for the batch default.
+func (c serverConfig) normalized(blockCount int) serverConfig {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
@@ -179,9 +114,6 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 		// wait at most a short interleave for every segment, but at least 4
 		// to amortize dispatch.
 		c.EncodeBatch = max(4, blockCount/4)
-	}
-	if c.EncoderWorkers <= 0 {
-		c.EncoderWorkers = rlnc.SharedPool().Workers()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -198,41 +130,48 @@ func (c ServerConfig) normalized(blockCount int) ServerConfig {
 	return c
 }
 
-// ServerOption configures a Server built through the functional-option
-// constructors. Options mutate a ServerConfig, so the two construction
-// styles compose: an option-built server is exactly a
-// DefaultServerConfig-plus-mutations FromConfig server.
-type ServerOption func(*ServerConfig)
+// ServerOption configures a Server. Options are the only way to configure
+// one: NewServer and NewSourceServer apply them in order over the defaults
+// and reject an unknown wire or fanout mode or a negative shard count.
+type ServerOption func(*serverConfig)
 
-// WithQueueDepth bounds each session's send queue to n coded-block records;
-// see ServerConfig.QueueDepth.
+// WithQueueDepth bounds each session's send queue to n coded-block records
+// (default 64; negative → 1). When a client drains slower than the pump
+// produces, records beyond the bound are shed instead of stalling the pump —
+// RLNC makes the loss harmless, the peer only needs enough blocks, not
+// specific ones.
 func WithQueueDepth(n int) ServerOption {
-	return func(c *ServerConfig) { c.QueueDepth = n }
+	return func(c *serverConfig) { c.QueueDepth = n }
 }
 
-// WithWriteDeadline bounds every record flush to d; see
-// ServerConfig.WriteDeadline. Zero disables deadlines.
+// WithWriteDeadline bounds every record flush to d (default 5s); a flush
+// that misses it is retried, resuming at the byte where it stopped, up to
+// the WithWriteRetries budget, and the session is then dropped. Zero
+// disables deadlines.
 func WithWriteDeadline(d time.Duration) ServerOption {
-	return func(c *ServerConfig) { c.WriteDeadline = d }
+	return func(c *serverConfig) { c.WriteDeadline = d }
 }
 
 // WithWriteRetries sets how many extra deadline windows a timed-out flush
-// gets before the session is dropped (default 1: retry once, then drop).
+// gets before the session is dropped (default 1: retry once, then drop;
+// negative → 0).
 func WithWriteRetries(n int) ServerOption {
-	return func(c *ServerConfig) { c.WriteRetries = n }
+	return func(c *serverConfig) { c.WriteRetries = n }
 }
 
 // WithEncodeBatch sets how many coded blocks each pump generates per segment
 // per round. Larger batches amortize encoder dispatch; smaller ones tighten
-// the round-robin interleave across segments. The default adapts to the
-// segment's block count.
+// the round-robin interleave across segments. The default, max(4, n/4) for
+// n blocks per segment, adapts to the segment's block count.
 func WithEncodeBatch(n int) ServerOption {
-	return func(c *ServerConfig) { c.EncodeBatch = n }
+	return func(c *serverConfig) { c.EncodeBatch = n }
 }
 
-// WithMaxSessions caps concurrent sessions; see ServerConfig.MaxSessions.
+// WithMaxSessions caps concurrent sessions across all shards; connections
+// beyond the cap get a BUSY admission decision and are counted in
+// Snapshot.SessionsRejected. Zero, the default, means unlimited.
 func WithMaxSessions(n int) ServerOption {
-	return func(c *ServerConfig) { c.MaxSessions = n }
+	return func(c *serverConfig) { c.MaxSessions = n }
 }
 
 // WithServePace floors the interval between pump rounds at d, bounding each
@@ -240,21 +179,18 @@ func WithMaxSessions(n int) ServerOption {
 // CPU headroom. It models a capacity-constrained origin uplink — the regime
 // where a recoding relay tier multiplies effective serving capacity — and
 // keeps capacity comparisons meaningful on machines where every tier is
-// otherwise compute-bound. Zero (the default) leaves the pumps unpaced.
+// otherwise compute-bound. With S shards the server models S engines. Zero
+// (the default) leaves the pumps unpaced.
 func WithServePace(d time.Duration) ServerOption {
-	return func(c *ServerConfig) { c.Pace = d }
+	return func(c *serverConfig) { c.Pace = d }
 }
 
-// WithEncoderWorkers sets the worker count of each shard's parallel encoder
-// (default: the SharedPool's worker count).
-func WithEncoderWorkers(n int) ServerOption {
-	return func(c *ServerConfig) { c.EncoderWorkers = n }
-}
-
-// WithServerSeed fixes the base seed of the pump coefficient streams, making
-// the served block sequence reproducible; see ServerConfig.Seed.
+// WithServerSeed fixes the base seed of the pump coefficient streams
+// (default 1; zero → 1), making the served block sequence reproducible.
+// Shard i derives its stream from seed and i, so a single-shard server
+// reproduces the unsharded block sequence exactly.
 func WithServerSeed(seed int64) ServerOption {
-	return func(c *ServerConfig) { c.Seed = seed }
+	return func(c *serverConfig) { c.Seed = seed }
 }
 
 // WithWireMode sets the session coding discipline the server declares in
@@ -262,36 +198,40 @@ func WithServerSeed(seed int64) ServerOption {
 // each segment through the systematic + GF(2) XOR repair + dense tail
 // schedule of rlnc.SystematicEncoder, framing binary blocks in the compact
 // XNC2 encoding; queueing, shedding, deadlines, and reconnect semantics are
-// unchanged.
+// unchanged. NewSourceServer ignores it: the source declares the mode.
 func WithWireMode(m WireMode) ServerOption {
-	return func(c *ServerConfig) { c.Mode = m }
+	return func(c *serverConfig) { c.Mode = m }
 }
 
-// WithPumpShards splits the serving load across n independent encoder pumps;
-// see ServerConfig.PumpShards.
+// WithPumpShards splits the serving load across n independent encoder pumps
+// (default 1; zero → 1, negative is an error). Sessions join the
+// least-loaded shard at handshake; each shard owns its sessions, its record
+// source, and its slice of the accounting, rolled up in Snapshot.
 func WithPumpShards(n int) ServerOption {
-	return func(c *ServerConfig) { c.PumpShards = n }
+	return func(c *serverConfig) { c.PumpShards = n }
 }
 
 // WithFanout selects the pump-to-queue hand-off rung; see FanoutMode.
 func WithFanout(m FanoutMode) ServerOption {
-	return func(c *ServerConfig) { c.Fanout = m }
+	return func(c *serverConfig) { c.Fanout = m }
 }
 
-// WithRetryAfter sets the hint carried in BUSY admission decisions; see
-// ServerConfig.RetryAfter. The resilient Fetcher floors its next backoff
-// sleep at this hint.
+// WithRetryAfter sets the hint carried in BUSY admission decisions (session
+// cap, brownout reject, address-less drain): how long the client should
+// wait before redialing (default 250ms). The resilient Fetcher floors its
+// next backoff sleep at this hint.
 func WithRetryAfter(d time.Duration) ServerOption {
-	return func(c *ServerConfig) { c.RetryAfter = d }
+	return func(c *serverConfig) { c.RetryAfter = d }
 }
 
-// WithBrownout enables the overload controller: every cfg.Interval the
-// server samples its pressure signal (pump stall fraction, aggregate queue
-// occupancy, shed fraction) and walks the degradation ladder — pace the
-// pumps, thin the systematic schedule, reject new sessions with BUSY — with
-// hysteresis on the way down. See BrownoutConfig and BrownoutRung.
+// WithBrownout enables the overload controller when cfg.Interval > 0: every
+// interval the server samples its pressure signal (pump stall fraction,
+// aggregate queue occupancy, shed fraction) and walks the degradation
+// ladder — pace the pumps, thin the systematic schedule, reject new sessions
+// with BUSY — with hysteresis on the way down. See BrownoutConfig and
+// BrownoutRung.
 func WithBrownout(cfg BrownoutConfig) ServerOption {
-	return func(c *ServerConfig) { c.Brownout = cfg }
+	return func(c *serverConfig) { c.Brownout = cfg }
 }
 
 // WithMetricsRegistry registers the server's counters and session gauges
@@ -299,15 +239,16 @@ func WithBrownout(cfg BrownoutConfig) ServerOption {
 // other obs surface. Each registry admits one server: NewServer fails on a
 // second registration with the same names.
 func WithMetricsRegistry(reg *obs.Registry) ServerOption {
-	return func(c *ServerConfig) { c.Metrics = reg }
+	return func(c *serverConfig) { c.Metrics = reg }
 }
 
 // WithServerTrace labels the server's spans and flight events with node
 // and enables trace propagation when the process-global trace recorder
 // (obs/trace) is enabled at construction: a fresh trace is minted and
-// declared to every client through the handshake.
+// declared to every client through the handshake (an XNCT record), and
+// every record carries its pump round's span ID.
 func WithServerTrace(node string) ServerOption {
-	return func(c *ServerConfig) { c.TraceNode = node }
+	return func(c *serverConfig) { c.TraceNode = node }
 }
 
 // WithInheritedTrace is WithServerTrace for a mid-tier server (a mesh
@@ -315,89 +256,42 @@ func WithServerTrace(node string) ServerOption {
 // is parented under the upstream server's root, so one generation's spans
 // link origin → relay → leaf.
 func WithInheritedTrace(node string, tr trace.TraceID, parent trace.SpanID) ServerOption {
-	return func(c *ServerConfig) {
+	return func(c *serverConfig) {
 		c.TraceNode = node
 		c.TraceID = tr
 		c.TraceParent = parent
 	}
 }
 
-// FetcherConfig is the complete download-client configuration. NewFetcher
-// builds one from DefaultFetcherConfig plus functional options;
-// NewFetcherFromConfig accepts a literal struct. Both paths share the same
-// validation, so a config that passes Validate behaves identically however
-// it was assembled.
-//
-// Zero backoff fields default during normalization; a zero Jitter is taken
-// literally (no jitter) — start from DefaultFetcherConfig to get the
-// option-path defaults.
-type FetcherConfig struct {
-	// MaxAttempts caps total connection attempts (dials), counting the
-	// first. Zero means unlimited: the fetch is bounded only by its context.
-	MaxAttempts int
-	// FetchTimeout bounds the whole fetch in wall-clock time, independent
-	// of the per-attempt budget: when it expires the fetch degrades to a
-	// partial FetchResult and ErrFetchTimeout. Zero means no overall
-	// timeout.
-	FetchTimeout time.Duration
-	// Redirector, when non-nil, is re-pointed at the address carried in
-	// every REDIRECT admission decision the fetch receives, so a drain
-	// walks the fetcher to the named survivor on its next dial. The
-	// Redirector is typically also the fetcher's DialFunc, but any
-	// control-plane target works.
-	Redirector *Redirector
-	// BackoffBase and BackoffMax shape the reconnect schedule: the delay
-	// before retry r doubles from BackoffBase (0 → 50ms), is capped at
-	// BackoffMax (0 → 2s), and is then jittered. The schedule resets after
-	// any session that delivered records.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Jitter is the backoff jitter fraction in [0, 1]: each delay d is drawn
-	// uniformly from [d·(1−Jitter), d·(1+Jitter)], still capped at
-	// BackoffMax. DefaultFetcherConfig sets 0.5.
-	Jitter float64
-	// Seed fixes the jitter's random source for reproducible schedules
-	// (0 → a random seed).
-	Seed int64
-	// ReconnectHook, when non-nil, runs after every successful reconnect
-	// handshake with the 1-based reconnect number and the per-segment
-	// decoder ranks carried into the new session.
+// fetcherConfig is the download-client configuration the FetcherOptions
+// write to. Zero backoff fields are resolved by normalized; every other zero
+// value is meaningful and kept.
+type fetcherConfig struct {
+	MaxAttempts   int           // dial budget, counting the first; zero = unlimited
+	FetchTimeout  time.Duration // wall-clock budget; zero = none
+	Redirector    *Redirector
+	BackoffBase   time.Duration // first reconnect delay (0 → 50ms)
+	BackoffMax    time.Duration // reconnect delay cap (0 → 2s)
+	Jitter        float64       // backoff jitter fraction in [0, 1]
+	Seed          int64         // jitter source seed (0 → random)
 	ReconnectHook func(reconnect int, ranks map[uint32]int)
-	// SessionHook, when non-nil, runs with the declared SessionInfo after
-	// every successful handshake, before any record of that session is read.
-	SessionHook func(SessionInfo)
-	// RecordTap, when non-nil, runs with every structurally valid coded
-	// block the fetch receives, before (and regardless of) decoder
-	// absorption. Each block is freshly allocated; the tap may retain it.
-	RecordTap func(*rlnc.CodedBlock)
-	// ResumeState preloads the decoders from a Fetcher.State blob saved by
-	// an earlier fetch of the same object.
-	ResumeState []byte
-	// Metrics, when non-nil, registers the fetch ledger under the "fetch"
-	// prefix. Each registry admits one fetcher; a second registration is
-	// dropped (the typed stats still work).
-	Metrics *obs.Registry
-	// TraceNode labels this fetcher's spans and flight events ("" → the
-	// generic "fetch"). Spans are emitted only on sessions whose handshake
-	// negotiated tracing and while the trace recorder is enabled.
-	TraceNode string
+	SessionHook   func(SessionInfo)
+	RecordTap     func(*rlnc.CodedBlock)
+	ResumeState   []byte
+	Metrics       *obs.Registry
+	TraceNode     string // "" → "fetch"
 }
 
-// DefaultFetcherConfig returns the defaults the functional-option path
-// starts from: unlimited attempts, 50ms backoff doubling to a 2s cap with
-// 0.5 jitter.
-func DefaultFetcherConfig() FetcherConfig {
-	return FetcherConfig{
-		BackoffBase: 50 * time.Millisecond,
-		BackoffMax:  2 * time.Second,
-		Jitter:      0.5,
-	}
+// fetcherDefaults holds the only default whose zero value means
+// something else: 0.5 backoff jitter (zero means no jitter). normalized
+// resolves the rest.
+func fetcherDefaults() fetcherConfig {
+	return fetcherConfig{Jitter: 0.5}
 }
 
-// Validate rejects a configuration NewFetcherFromConfig would refuse:
-// negative attempt budget, negative backoff, an inverted backoff range, or
-// jitter outside [0, 1].
-func (c *FetcherConfig) Validate() error {
+// validate rejects a negative attempt budget or fetch timeout, a negative
+// or inverted backoff range, and jitter outside [0, 1].
+func (c *fetcherConfig) validate() error {
 	if c.MaxAttempts < 0 {
 		return fmt.Errorf("netio: negative attempt budget %d", c.MaxAttempts)
 	}
@@ -417,7 +311,7 @@ func (c *FetcherConfig) Validate() error {
 }
 
 // normalized resolves the backoff defaults and the jitter random source.
-func (c FetcherConfig) normalized() (FetcherConfig, *rand.Rand) {
+func (c fetcherConfig) normalized() (fetcherConfig, *rand.Rand) {
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 50 * time.Millisecond
 	}
@@ -431,60 +325,72 @@ func (c FetcherConfig) normalized() (FetcherConfig, *rand.Rand) {
 	return c, rand.New(rand.NewSource(seed))
 }
 
-// FetcherOption configures a Fetcher built through NewFetcher. Options
-// mutate a FetcherConfig, so the two construction styles compose.
-type FetcherOption func(*FetcherConfig)
+// FetcherOption configures a Fetcher. Options are the only way to configure
+// one: NewFetcher applies them in order over the defaults, and Fetch returns
+// any validation error before it dials.
+type FetcherOption func(*fetcherConfig)
 
 // WithMaxAttempts caps the total number of connection attempts (dials),
-// counting the first. Zero, the default, means unlimited.
+// counting the first. Zero, the default, means unlimited: the fetch is
+// bounded only by its context. Negative is an error.
 func WithMaxAttempts(n int) FetcherOption {
-	return func(c *FetcherConfig) { c.MaxAttempts = n }
+	return func(c *fetcherConfig) { c.MaxAttempts = n }
 }
 
-// WithFetchTimeout bounds the whole fetch in wall-clock time; see
-// FetcherConfig.FetchTimeout. Distinct from WithMaxAttempts: the attempt
-// budget bounds dials, this bounds elapsed time, and either limit degrades
-// the fetch to a partial result instead of discarding rank.
+// WithFetchTimeout bounds the whole fetch in wall-clock time: when d
+// expires the fetch degrades to a partial FetchResult and ErrFetchTimeout.
+// Distinct from WithMaxAttempts: the attempt budget bounds dials, this
+// bounds elapsed time, and either limit degrades the fetch to a partial
+// result instead of discarding rank. Zero, the default, means no overall
+// timeout; negative is an error.
 func WithFetchTimeout(d time.Duration) FetcherOption {
-	return func(c *FetcherConfig) { c.FetchTimeout = d }
+	return func(c *fetcherConfig) { c.FetchTimeout = d }
 }
 
 // WithRedirector makes the fetch honor REDIRECT admission decisions by
-// re-pointing r at the address a draining server names; see
-// FetcherConfig.Redirector. Pass the same Redirector whose Dial the fetcher
-// uses to have the very next reconnect land on the survivor.
+// re-pointing r at the address a draining server names, so a drain walks
+// the fetcher to the named survivor on its next dial. Pass the same
+// Redirector whose Dial the fetcher uses to have the very next reconnect
+// land on the survivor; any control-plane target works.
 func WithRedirector(r *Redirector) FetcherOption {
-	return func(c *FetcherConfig) { c.Redirector = r }
+	return func(c *fetcherConfig) { c.Redirector = r }
 }
 
-// WithBackoff sets the reconnect backoff schedule; see
-// FetcherConfig.BackoffBase. The defaults are 50ms doubling to a 2s cap.
+// WithBackoff sets the reconnect backoff schedule: the delay before retry r
+// doubles from base, is capped at max, and is then jittered. The schedule
+// resets after any session that delivered records. The defaults are 50ms
+// doubling to a 2s cap; a zero base or max keeps its default, and a
+// negative value or a base above max is an error.
 func WithBackoff(base, max time.Duration) FetcherOption {
-	return func(c *FetcherConfig) {
+	return func(c *fetcherConfig) {
 		c.BackoffBase = base
 		c.BackoffMax = max
 	}
 }
 
 // WithBackoffJitter sets the jitter fraction j ∈ [0, 1], clamping
-// out-of-range values. Jitter (default 0.5) keeps a fleet of clients that
-// lost the same server from reconnecting in lockstep.
+// out-of-range values: each delay d is drawn uniformly from
+// [d·(1−j), d·(1+j)], still capped at the backoff max. Jitter (default 0.5)
+// keeps a fleet of clients that lost the same server from reconnecting in
+// lockstep.
 func WithBackoffJitter(j float64) FetcherOption {
-	return func(c *FetcherConfig) {
+	return func(c *fetcherConfig) {
 		c.Jitter = min(max(j, 0), 1)
 	}
 }
 
 // WithBackoffSeed fixes the jitter's random source, making the backoff
-// schedule reproducible.
+// schedule reproducible (default: a random seed).
 func WithBackoffSeed(seed int64) FetcherOption {
-	return func(c *FetcherConfig) { c.Seed = seed }
+	return func(c *fetcherConfig) { c.Seed = seed }
 }
 
-// WithReconnectHook installs fn; see FetcherConfig.ReconnectHook.
-// Observability only: the fetch blocks until fn returns.
+// WithReconnectHook installs fn, run after every successful reconnect
+// handshake with the 1-based reconnect number and the per-segment decoder
+// ranks carried into the new session. Observability only: the fetch blocks
+// until fn returns.
 func WithReconnectHook(fn func(reconnect int, ranks map[uint32]int)) FetcherOption {
-	return func(c *FetcherConfig) { c.ReconnectHook = fn }
+	return func(c *fetcherConfig) { c.ReconnectHook = fn }
 }
 
 // WithSessionHook installs fn, called with the declared SessionInfo after
@@ -494,7 +400,7 @@ func WithReconnectHook(fn func(reconnect int, ranks map[uint32]int)) FetcherOpti
 // downstream. Hooks compose: each WithSessionHook appends, and hooks run
 // in installation order. The fetch blocks until fn returns.
 func WithSessionHook(fn func(SessionInfo)) FetcherOption {
-	return func(c *FetcherConfig) {
+	return func(c *fetcherConfig) {
 		if prev := c.SessionHook; prev != nil {
 			c.SessionHook = func(info SessionInfo) { prev(info); fn(info) }
 			return
@@ -507,11 +413,12 @@ func WithSessionHook(fn func(SessionInfo)) FetcherOption {
 // block the fetch receives — after checksum, shape, and segment-range
 // checks, before (and regardless of) decoder absorption, so the tap also
 // sees blocks that are linearly dependent for this fetcher's decoders.
-// This is the relay feed: a mesh relay taps its upstream fetch straight into
-// per-segment recoders. Taps compose: each WithRecordTap appends, and taps
-// run in installation order. The fetch blocks until fn returns.
+// Each block is freshly allocated; the tap may retain it. This is the relay
+// feed: a mesh relay taps its upstream fetch straight into per-segment
+// recoders. Taps compose: each WithRecordTap appends, and taps run in
+// installation order. The fetch blocks until fn returns.
 func WithRecordTap(fn func(*rlnc.CodedBlock)) FetcherOption {
-	return func(c *FetcherConfig) {
+	return func(c *fetcherConfig) {
 		if prev := c.RecordTap; prev != nil {
 			c.RecordTap = func(b *rlnc.CodedBlock) { prev(b); fn(b) }
 			return
@@ -524,17 +431,19 @@ func WithRecordTap(fn func(*rlnc.CodedBlock)) FetcherOption {
 // an earlier (possibly failed) fetch of the same object, so the new fetch
 // starts from the saved per-segment rank instead of zero.
 func WithResumeState(state []byte) FetcherOption {
-	return func(c *FetcherConfig) { c.ResumeState = state }
+	return func(c *fetcherConfig) { c.ResumeState = state }
 }
 
 // WithMetrics registers the fetcher's stat counters into reg under the
-// "fetch" prefix; see FetcherConfig.Metrics.
+// "fetch" prefix. Each registry admits one fetcher; a second registration
+// is dropped (the typed stats still work).
 func WithMetrics(reg *obs.Registry) FetcherOption {
-	return func(c *FetcherConfig) { c.Metrics = reg }
+	return func(c *fetcherConfig) { c.Metrics = reg }
 }
 
-// WithFetchTrace labels the fetcher's spans and flight events with node;
-// see FetcherConfig.TraceNode.
+// WithFetchTrace labels the fetcher's spans and flight events with node
+// (default "fetch"). Spans are emitted only on sessions whose handshake
+// negotiated tracing and while the trace recorder is enabled.
 func WithFetchTrace(node string) FetcherOption {
-	return func(c *FetcherConfig) { c.TraceNode = node }
+	return func(c *fetcherConfig) { c.TraceNode = node }
 }

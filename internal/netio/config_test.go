@@ -1,9 +1,10 @@
 package netio
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,179 +12,156 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// TestServerConfigValidate pins exactly what the shared validation path
-// rejects: unknown wire and fanout modes and negative shard counts. Numeric
-// fields outside their range are normalization's job, not errors.
+// TestServerConfigValidate pins exactly what NewServer and NewSourceServer
+// reject: unknown wire and fanout modes and negative shard counts. Numeric
+// options outside their range are normalization's job, not errors.
 func TestServerConfigValidate(t *testing.T) {
+	p := rlnc.Params{BlockCount: 8, BlockSize: 64}
+	media := testMedia(t, 2*p.SegmentSize()-5, 63)
+	obj, err := rlnc.Split(media, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
-		mutate  func(*ServerConfig)
+		opt     ServerOption
 		wantErr string
 	}{
-		{"default", func(c *ServerConfig) {}, ""},
-		{"zero value", func(c *ServerConfig) { *c = ServerConfig{} }, ""},
-		{"bad wire mode", func(c *ServerConfig) { c.Mode = WireMode(9) }, "wire mode"},
-		{"bad fanout", func(c *ServerConfig) { c.Fanout = FanoutMode(7) }, "fanout"},
-		{"negative shards", func(c *ServerConfig) { c.PumpShards = -1 }, "pump shards"},
-		{"negative queue ok", func(c *ServerConfig) { c.QueueDepth = -5 }, ""},
-		{"negative retries ok", func(c *ServerConfig) { c.WriteRetries = -1 }, ""},
+		{"default", WithQueueDepth(64), ""},
+		{"zero value", func(c *serverConfig) { *c = serverConfig{} }, ""},
+		{"bad wire mode", WithWireMode(WireMode(9)), "wire mode"},
+		{"bad fanout", WithFanout(FanoutMode(7)), "fanout"},
+		{"negative shards", WithPumpShards(-1), "pump shards"},
+		{"negative queue ok", WithQueueDepth(-5), ""},
+		{"negative retries ok", WithWriteRetries(-1), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultServerConfig()
-			tc.mutate(&cfg)
-			err := cfg.Validate()
+			srv, err := NewServer(media, p, tc.opt)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+					t.Fatalf("NewServer = %v, want nil", err)
 				}
+				srv.Shutdown()
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
+				t.Fatalf("NewServer = %v, want error containing %q", err, tc.wantErr)
+			}
+			// The source-backed constructor runs the same validation.
+			if _, err := NewSourceServer(newPoolSource(t, obj, p.BlockCount), tc.opt); err == nil ||
+				!strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("NewSourceServer = %v, want error containing %q", err, tc.wantErr)
 			}
 		})
 	}
 }
 
-// TestServerConfigNormalized pins the zero-to-default resolution both
-// construction paths share.
+// TestServerConfigNormalized pins the defaults a server built with no
+// options runs with, and the zero-to-default and clamp resolution.
 func TestServerConfigNormalized(t *testing.T) {
-	got := (ServerConfig{QueueDepth: 0, WriteRetries: -2, Seed: 0}).normalized(16)
-	if got.QueueDepth != 64 {
-		t.Fatalf("QueueDepth 0 -> %d, want 64", got.QueueDepth)
+	got := serverDefaults().normalized(16)
+	want := serverConfig{
+		QueueDepth:    64,
+		WriteDeadline: 5 * time.Second,
+		WriteRetries:  1,
+		EncodeBatch:   4, // max(4, 16/4)
+		Seed:          1,
+		PumpShards:    1,
+		RetryAfter:    250 * time.Millisecond,
 	}
-	if got.WriteRetries != 0 {
-		t.Fatalf("WriteRetries -2 -> %d, want 0", got.WriteRetries)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("defaults = %+v, want %+v", got, want)
 	}
-	if got.EncodeBatch != 4 { // max(4, 16/4)
-		t.Fatalf("EncodeBatch 0 -> %d, want 4", got.EncodeBatch)
+	if (serverConfig{WriteRetries: -2}).normalized(16).WriteRetries != 0 {
+		t.Fatal("negative WriteRetries must clamp to 0")
 	}
-	if got.Seed != 1 {
-		t.Fatalf("Seed 0 -> %d, want 1", got.Seed)
-	}
-	if got.PumpShards != 1 {
-		t.Fatalf("PumpShards 0 -> %d, want 1", got.PumpShards)
-	}
-	if got.EncoderWorkers <= 0 {
-		t.Fatalf("EncoderWorkers 0 -> %d, want > 0", got.EncoderWorkers)
-	}
-	if (ServerConfig{QueueDepth: -3}).normalized(16).QueueDepth != 1 {
+	if (serverConfig{QueueDepth: -3}).normalized(16).QueueDepth != 1 {
 		t.Fatal("negative QueueDepth must clamp to 1")
 	}
-	if (ServerConfig{EncodeBatch: 0}).normalized(64).EncodeBatch != 16 {
+	if (serverConfig{}).normalized(64).EncodeBatch != 16 {
 		t.Fatal("EncodeBatch default must scale with block count")
 	}
 	// Meaningful zeros survive normalization untouched.
-	z := (ServerConfig{}).normalized(16)
+	z := (serverConfig{}).normalized(16)
 	if z.WriteDeadline != 0 || z.MaxSessions != 0 || z.Pace != 0 {
 		t.Fatalf("meaningful zeros were defaulted: %+v", z)
 	}
 }
 
-// TestFetcherConfigValidate pins the fetcher-side rejections.
+// TestFetcherConfigValidate pins the fetcher-side rejections: each one fails
+// Fetch before the first dial, and every accepted configuration dials.
 func TestFetcherConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*FetcherConfig)
+		opt     FetcherOption
 		wantErr string
 	}{
-		{"default", func(c *FetcherConfig) {}, ""},
-		{"zero value", func(c *FetcherConfig) { *c = FetcherConfig{} }, ""},
-		{"negative attempts", func(c *FetcherConfig) { c.MaxAttempts = -1 }, "attempt budget"},
-		{"negative backoff", func(c *FetcherConfig) { c.BackoffBase = -time.Second }, "negative backoff"},
-		{"inverted backoff", func(c *FetcherConfig) {
-			c.BackoffBase = 3 * time.Second
-			c.BackoffMax = time.Second
-		}, "exceeds max"},
-		{"jitter too big", func(c *FetcherConfig) { c.Jitter = 1.5 }, "jitter"},
-		{"jitter negative", func(c *FetcherConfig) { c.Jitter = -0.1 }, "jitter"},
+		{"default", WithMaxAttempts(0), ""},
+		{"zero value", func(c *fetcherConfig) { *c = fetcherConfig{} }, ""},
+		{"negative attempts", WithMaxAttempts(-1), "attempt budget"},
+		{"negative timeout", WithFetchTimeout(-1), "fetch timeout"},
+		{"negative backoff", WithBackoff(-time.Second, 0), "negative backoff"},
+		{"negative backoff max", WithBackoff(0, -time.Second), "negative backoff"},
+		{"inverted backoff", WithBackoff(3*time.Second, time.Second), "exceeds max"},
+		// WithBackoffJitter clamps into range, so only a raw option can
+		// store an out-of-range jitter.
+		{"jitter too big", func(c *fetcherConfig) { c.Jitter = 1.5 }, "jitter"},
+		{"jitter negative", func(c *fetcherConfig) { c.Jitter = -0.1 }, "jitter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultFetcherConfig()
-			tc.mutate(&cfg)
-			err := cfg.Validate()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			dials := 0
+			// An accepted fetch reaches the dial, which ends it.
+			dial := func(context.Context) (net.Conn, error) {
+				dials++
+				cancel()
+				return nil, errors.New("dial refused")
+			}
+			res, err := NewFetcher(dial, tc.opt).Fetch(ctx)
+			if res == nil {
+				t.Fatal("Fetch returned a nil result")
+			}
 			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("Validate() = %v, want nil", err)
+				if dials == 0 {
+					t.Fatalf("valid options never dialed: %v", err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Validate() = %v, want error containing %q", err, tc.wantErr)
+				t.Fatalf("Fetch = %v, want error containing %q", err, tc.wantErr)
+			}
+			if dials != 0 || res.Stats.Attempts != 0 {
+				t.Fatalf("invalid options dialed %d times (%d attempts)", dials, res.Stats.Attempts)
 			}
 		})
 	}
 }
 
-// TestFromConfigMatchesOptions proves the two construction styles are one
-// path: a literal-config server and an option-built server with the same
-// settings serve identical block streams, and the FromConfig constructors
-// reject what Validate rejects.
-func TestFromConfigMatchesOptions(t *testing.T) {
-	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
-	media := testMedia(t, 2*p.SegmentSize()-7, 61)
-
-	cfg := DefaultServerConfig()
-	cfg.QueueDepth = 16
-	cfg.WriteDeadline = 2 * time.Second
-	cfg.Seed = 42
-	cfg.PumpShards = 2
-	byConfig, err := NewServerFromConfig(media, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byOptions, err := NewServer(media, p,
-		WithQueueDepth(16),
-		WithWriteDeadline(2*time.Second),
-		WithServerSeed(42),
-		WithPumpShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, srv := range map[string]*Server{"config": byConfig, "options": byOptions} {
-		if srv.Shards() != 2 {
-			t.Fatalf("%s-built server shards = %d, want 2", name, srv.Shards())
+// TestFetchValidatesBeforeDial pins that the option values a command line
+// can reach — an inverted or negative backoff, a negative attempt budget, a
+// negative fetch timeout — fail the fetch with a non-nil result and zero
+// dials instead of running silently.
+func TestFetchValidatesBeforeDial(t *testing.T) {
+	for _, opts := range [][]FetcherOption{
+		{WithBackoff(3*time.Second, time.Second), WithMaxAttempts(1)},
+		{WithBackoff(-time.Millisecond, time.Second), WithMaxAttempts(1)},
+		{WithMaxAttempts(-1), WithFetchTimeout(time.Second)},
+		{WithFetchTimeout(-1), WithMaxAttempts(1)},
+	} {
+		dials := 0
+		dial := func(context.Context) (net.Conn, error) {
+			dials++
+			return nil, errors.New("dial refused")
 		}
-		l := startPipeServer(t, srv)
-		payload, _, err := Fetch(context.Background(), l.Dial())
-		if err != nil {
-			t.Fatalf("%s-built server fetch: %v", name, err)
+		res, err := NewFetcher(dial, opts...).Fetch(context.Background())
+		if err == nil || dials != 0 {
+			t.Fatalf("Fetch = %v after %d dials, want a validation error and no dial", err, dials)
 		}
-		if !bytes.Equal(payload, media) {
-			t.Fatalf("%s-built server payload differs", name)
+		if res == nil || res.Stats == nil || res.Stats.Attempts != 0 {
+			t.Fatalf("validation failure result = %+v, want a non-nil result with zero attempts", res)
 		}
-	}
-
-	if _, err := NewServerFromConfig(media, p, ServerConfig{PumpShards: -2}); err == nil {
-		t.Fatal("NewServerFromConfig accepted a config Validate rejects")
-	}
-	if _, err := NewFetcherFromConfig(
-		func(context.Context) (net.Conn, error) { return nil, context.Canceled },
-		FetcherConfig{Jitter: 2},
-	); err == nil {
-		t.Fatal("NewFetcherFromConfig accepted a config Validate rejects")
-	}
-
-	// And the valid literal-config fetcher path works end to end.
-	srv, err := NewServerFromConfig(media, p, DefaultServerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := startPipeServer(t, srv)
-	fcfg := DefaultFetcherConfig()
-	fcfg.MaxAttempts = 1
-	f, err := NewFetcherFromConfig(
-		func(context.Context) (net.Conn, error) { return l.Dial(), nil }, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.Fetch(context.Background())
-	if err != nil {
-		t.Fatalf("config-built fetcher: %v", err)
-	}
-	if !bytes.Equal(res.Payload, media) {
-		t.Fatal("config-built fetcher payload differs")
 	}
 }

@@ -78,9 +78,10 @@ type FetchResult struct {
 // A Fetcher is single-use and not safe for concurrent use: construct, call
 // Fetch once, then optionally State.
 type Fetcher struct {
-	dial DialFunc
-	cfg  FetcherConfig // normalized
-	rng  *rand.Rand    // jitter source
+	dial   DialFunc
+	cfg    fetcherConfig // normalized
+	cfgErr error         // validation failure, returned by Fetch
+	rng    *rand.Rand    // jitter source
 
 	hdr         *sessionHeader
 	established bool
@@ -201,31 +202,19 @@ func (m *fetcherMetrics) register(reg *obs.Registry, prefix string) error {
 	return nil
 }
 
-// NewFetcher returns a Fetcher that downloads through dial.
+// NewFetcher returns a Fetcher that downloads through dial. An invalid
+// option value is reported by Fetch, before it dials.
 func NewFetcher(dial DialFunc, opts ...FetcherOption) *Fetcher {
-	cfg := DefaultFetcherConfig()
+	cfg := fetcherDefaults()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return newFetcher(dial, cfg)
-}
-
-// NewFetcherFromConfig is NewFetcher with a literal, validated
-// configuration; see FetcherConfig for the zero-value semantics.
-func NewFetcherFromConfig(dial DialFunc, cfg FetcherConfig) (*Fetcher, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return newFetcher(dial, cfg), nil
-}
-
-func newFetcher(dial DialFunc, cfg FetcherConfig) *Fetcher {
-	norm, rng := cfg.normalized()
-	f := &Fetcher{dial: dial, cfg: norm, rng: rng}
-	if norm.Metrics != nil {
+	f := &Fetcher{dial: dial, cfgErr: cfg.validate()}
+	f.cfg, f.rng = cfg.normalized()
+	if f.cfg.Metrics != nil {
 		// Best-effort: a name collision (second fetcher on one registry)
 		// drops the registration but never the ledger itself.
-		f.stats.register(norm.Metrics, "fetch") //nolint:errcheck
+		f.stats.register(f.cfg.Metrics, "fetch") //nolint:errcheck
 	}
 	return f
 }
@@ -235,8 +224,12 @@ func newFetcher(dial DialFunc, cfg FetcherConfig) *Fetcher {
 // or ctx ends. The FetchResult is never nil and always carries the stats
 // plus whatever segments and ranks were decoded, even alongside an error — a
 // budget-exhausted or timed-out fetch degrades to a partial result instead
-// of discarding progress.
+// of discarding progress. An invalid option value fails the fetch before
+// the first dial.
 func (f *Fetcher) Fetch(ctx context.Context) (*FetchResult, error) {
+	if f.cfgErr != nil {
+		return f.result(), f.cfgErr
+	}
 	outer := ctx
 	if f.cfg.FetchTimeout > 0 {
 		var cancel context.CancelFunc

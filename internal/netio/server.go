@@ -50,7 +50,7 @@ const writerBatch = 16
 // semantics bound the cost of a stuck peer. Metrics accumulate both in the
 // aggregate counters and per shard, exposed via Snapshot.
 type Server struct {
-	cfg  ServerConfig // normalized
+	cfg  serverConfig // normalized
 	info SessionInfo
 
 	frames *framePool
@@ -149,17 +149,8 @@ func (c *shardCounters) view() CounterView {
 // NewServer builds a media-backed server over media split at p: the server
 // encodes fresh coded blocks from the source segments.
 func NewServer(media []byte, p rlnc.Params, opts ...ServerOption) (*Server, error) {
-	cfg := DefaultServerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewServerFromConfig(media, p, cfg)
-}
-
-// NewServerFromConfig is NewServer with a literal configuration; see
-// ServerConfig for the zero-value semantics.
-func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
+	cfg, err := buildServerConfig(opts)
+	if err != nil {
 		return nil, err
 	}
 	obj, err := rlnc.Split(media, p)
@@ -171,7 +162,7 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 	srcs := make([]RecordSource, cfg.PumpShards)
 	pooled := make([]bool, cfg.PumpShards)
 	for i := range srcs {
-		penc, err := rlnc.NewParallelEncoder(cfg.EncoderWorkers, rlnc.FullBlock)
+		penc, err := rlnc.NewParallelEncoder(rlnc.SharedPool().Workers(), rlnc.FullBlock)
 		if err != nil {
 			return nil, err
 		}
@@ -194,16 +185,8 @@ func NewServerFromConfig(media []byte, p rlnc.Params, cfg ServerConfig) (*Server
 // ShardedRecordSource provides one sub-source per shard; any other source is
 // shared behind a lock, serializing Records calls across the shards.
 func NewSourceServer(src RecordSource, opts ...ServerOption) (*Server, error) {
-	cfg := DefaultServerConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return NewSourceServerFromConfig(src, cfg)
-}
-
-// NewSourceServerFromConfig is NewSourceServer with a literal configuration.
-func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
+	cfg, err := buildServerConfig(opts)
+	if err != nil {
 		return nil, err
 	}
 	info := src.Info()
@@ -231,6 +214,15 @@ func NewSourceServerFromConfig(src RecordSource, cfg ServerConfig) (*Server, err
 	return newServer(info, cfg, &framePool{}, srcs, make([]bool, cfg.PumpShards))
 }
 
+// buildServerConfig applies opts over the defaults and validates the result.
+func buildServerConfig(opts []ServerOption) (serverConfig, error) {
+	cfg := serverDefaults()
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg, cfg.validate()
+}
+
 // shardSeed derives shard i's coefficient-stream seed. Shard 0 keeps the
 // base seed unchanged, so a single-shard server reproduces the historical
 // block sequence exactly.
@@ -239,7 +231,7 @@ func shardSeed(seed int64, i int) int64 {
 	return seed + int64(i)*lane
 }
 
-func newServer(info SessionInfo, cfg ServerConfig, pool *framePool, srcs []RecordSource, pooled []bool) (*Server, error) {
+func newServer(info SessionInfo, cfg serverConfig, pool *framePool, srcs []RecordSource, pooled []bool) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
