@@ -8,7 +8,7 @@ GO ?= go
 # and mirrored by the CI workflow.
 RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ .
 
-.PHONY: all build fmt-check vet test perfbench-check race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
+.PHONY: all build fmt-check vet test perfbench-check race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke stress loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
 
 all: build vet test
 
@@ -128,6 +128,15 @@ load-smoke:
 # flight dump lands in flight-trace.json for CI to upload.
 trace-smoke:
 	$(GO) run -race ./cmd/nctrace -smoke
+
+# Flake hunt, kept out of `ci` because it is slow: the netio, mesh and
+# command test suites twenty times over under the race detector, then the
+# chaos soak five runs in a row. Any single failure fails the target. The
+# timeout is per package: twenty race-built ncstream engine runs alone take
+# over ten minutes on a 2-vCPU host.
+stress:
+	$(GO) test -race -count=20 -timeout 40m ./internal/netio/ ./internal/mesh/ ./cmd/...
+	for i in 1 2 3 4 5; do $(MAKE) soak-smoke || exit 1; done
 
 # Full serving-capacity ladder, committed as BENCH_serve.json: ramped waves
 # to 5120 concurrent sessions measuring the per-record single-pump baseline

@@ -458,7 +458,8 @@ func (s *soak) killWave(ctx context.Context, id string) error {
 // at least one rung, then releases them and waits for the ladder to step all
 // the way back down. The clients hold raw sessions open without reading, so
 // pressure comes from queue occupancy and pump stalls — exactly the signal
-// the controller samples.
+// the controller samples. A relay that answers a stall dial with BUSY is
+// already at the reject rung, which counts as engaged.
 func (s *soak) stallWave(ctx context.Context) error {
 	id, ok := s.pickRelay(mesh.StateActive)
 	if !ok {
@@ -479,12 +480,25 @@ func (s *soak) stallWave(ctx context.Context) error {
 			c.Close()
 		}
 	}()
-	for i := 0; i < 4; i++ {
+	// A BUSY answer is the reject rung speaking: the ladder is already
+	// engaged — the leaf wave before this one can leave it there — so stop
+	// dialing and go straight to hold and release.
+	busy := false
+	for i := 0; i < 4 && !busy; i++ {
 		conn, err := net.Dial("tcp", target.Addr())
 		if err != nil {
 			return err
 		}
 		raw, err := netio.NewRawClient(conn)
+		if errors.Is(err, netio.ErrAdmissionBusy) {
+			conn.Close()
+			busy = true
+			s.peakRung = max(s.peakRung, int(netio.BrownoutReject))
+			if s.verbose {
+				fmt.Fprintf(s.stdout, "  stall dial %d on %s answered BUSY (rung %s): ladder already engaged\n", i, id, srv.Rung())
+			}
+			break
+		}
 		if err != nil {
 			conn.Close()
 			return err
@@ -501,7 +515,7 @@ func (s *soak) stallWave(ctx context.Context) error {
 		}()
 	}
 
-	for deadline := time.Now().Add(20 * time.Second); ; {
+	for deadline := time.Now().Add(20 * time.Second); !busy; {
 		if r := int(srv.Rung()); r > int(netio.BrownoutOff) {
 			if r > s.peakRung {
 				s.peakRung = r

@@ -390,13 +390,11 @@ func stallWave(ctx context.Context, m *mesh.Mesh) error {
 // tracing entry point with the recorder and span sink off — the state all
 // untraced production binaries run in. The budget is zero.
 func disabledPathAllocs() float64 {
-	st := obs.StageOf("nctrace.disabled_probe")
+	st := obs.TracedStage("nctrace.disabled_probe", "probe")
 	return testing.AllocsPerRun(1000, func() {
-		sp := trace.Begin("probe", "probe", 1, 0, -1)
-		sp.End()
+		st.StartTraced(obs.Trace{Node: "probe", ID: 1, Seg: -1}).End()
+		st.Start().End()
 		trace.Emit(trace.KindShed, "probe", "probe", -1, 0)
-		ssp := st.Start()
-		ssp.End()
 	})
 }
 

@@ -175,6 +175,48 @@ func TestCoordinatorBalancesAndReroutes(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejoinReaddressesLeaves: a relay restarted at a new port
+// takes along every leaf still aimed at its old, closed port, while a leaf
+// the drain redirected to a survivor keeps its target.
+func TestCoordinatorRejoinReaddressesLeaves(t *testing.T) {
+	p := NewPool()
+	if err := p.Add("r1", "addr-r1", nil, 8); err != nil {
+		t.Fatal(err)
+	}
+	p.Heartbeat("r1")
+	c := NewCoordinator(p)
+	stale, redirected := netio.NewRedirector(""), netio.NewRedirector("")
+	for i, rd := range []*netio.Redirector{stale, redirected} {
+		if _, err := c.Assign(i, rd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Add("r2", "addr-r2", nil, 8); err != nil {
+		t.Fatal(err)
+	}
+	p.Heartbeat("r2")
+
+	if !p.SetDraining("r1") {
+		t.Fatal("r1 not eligible to drain")
+	}
+	redirected.SetTarget("addr-r2") // the drain's REDIRECT decision
+	if !c.Rejoin("r1", "addr-r1-new") {
+		t.Fatal("r1 could not rejoin")
+	}
+	if got := stale.Target(); got != "addr-r1-new" {
+		t.Fatalf("leaf on the old port now targets %q, want addr-r1-new", got)
+	}
+	if got := redirected.Target(); got != "addr-r2" {
+		t.Fatalf("redirected leaf now targets %q, want addr-r2", got)
+	}
+	if addr, _ := p.Addr("r1"); addr != "addr-r1-new" {
+		t.Fatalf("pool addr %q, want addr-r1-new", addr)
+	}
+	if c.Rejoin("ghost", "x") {
+		t.Fatal("unknown relay rejoined")
+	}
+}
+
 func TestRemediatorMovesLeavesOffDeadRelay(t *testing.T) {
 	p := NewPool()
 	clock := newFakeClock(p)

@@ -90,6 +90,28 @@ func (c *Coordinator) Reroute(leafID int, exclude string) (bool, error) {
 	return true, nil
 }
 
+// Rejoin returns relayID to the pool at addr (a restarted relay listens on
+// a fresh port) and re-points every leaf still aimed at the relay's old
+// address there. Without this a leaf whose session ended just as a short
+// drain finished would redial the closed port forever: its route still names
+// the relay, which is active again, so remediation never moves it. Leaves a
+// drain already redirected to a survivor keep their target. It reports
+// whether the relay was eligible to rejoin.
+func (c *Coordinator) Rejoin(relayID, addr string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old, _ := c.pool.Addr(relayID)
+	if !c.pool.Rejoin(relayID, addr) {
+		return false
+	}
+	for _, rt := range c.routes {
+		if rt.rd.Target() == old {
+			rt.rd.SetTarget(addr)
+		}
+	}
+	return true
+}
+
 // Release drops leafID from the routing table — called when its fetch
 // finishes, so load counts and remediation only consider live leaves.
 func (c *Coordinator) Release(leafID int) {

@@ -547,7 +547,7 @@ func (m *Mesh) RestartRelay(ctx context.Context, id string) error {
 	if err != nil {
 		return err
 	}
-	if !m.pool.Rejoin(id, addr) {
+	if !m.coord.Rejoin(id, addr) {
 		return fmt.Errorf("mesh: relay %q could not rejoin the pool", id)
 	}
 	return nil

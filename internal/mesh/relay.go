@@ -8,15 +8,17 @@ import (
 
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
-	"extremenc/internal/obs/trace"
 	"extremenc/internal/rlnc"
 )
 
 // Relay stage spans: one absorb span per upstream record fed to a recoder,
-// one recode span per batch of emissions. Free with no obs sink installed.
+// one recode span per batch of emissions drawn from a recoder with rank
+// (dry polls are not timed). Free with no obs sink and no flight recorder
+// installed; under a traced upstream the recode span also lands on the
+// flight ring.
 var (
 	stageRelayAbsorb = obs.StageOf("mesh.relay_absorb")
-	stageRelayRecode = obs.StageOf("mesh.recode")
+	stageRelayRecode = obs.TracedStage("mesh.recode", "recode")
 )
 
 // RelayConfig configures one recoding relay.
@@ -328,8 +330,6 @@ func (rs *relaySource) Info() netio.SessionInfo { return (*Relay)(rs).Info() }
 
 func (rs *relaySource) Records(seg, batch int) [][]byte {
 	r := (*Relay)(rs)
-	sp := stageRelayRecode.Start()
-	defer sp.End()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if seg >= len(r.recoders) || r.recoders[seg].Rank() == 0 {
@@ -339,10 +339,9 @@ func (rs *relaySource) Records(seg, batch int) [][]byte {
 	// recently fed the recoders: the causal link tying a relay's emissions
 	// back to origin encode work across the tier boundary. Dry polls above
 	// never open a span, so an idle relay does not flood the ring.
-	if tr, _, ok := r.upFetch.TraceContext(); ok {
-		tsp := trace.Begin(r.id, "recode", tr, r.upFetch.LastRoundSpan(), int32(seg))
-		defer tsp.End()
-	}
+	tr, _, _ := r.upFetch.TraceContext()
+	sp := stageRelayRecode.StartTraced(obs.Trace{Node: r.id, ID: tr, Parent: r.upFetch.LastRoundSpan(), Seg: int32(seg)})
+	defer sp.End()
 	rec := r.recoders[seg]
 	out := make([][]byte, 0, batch)
 	for i := 0; i < batch; i++ {

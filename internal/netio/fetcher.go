@@ -17,14 +17,18 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// Fetch-stage spans. Free when no obs sink is installed; with one: dial
-// latency per connection attempt, backoff sleep per retry, dial-to-handshake
-// latency per successful reconnect, and decode latency per absorbed record.
+// Fetch-stage spans. Free when no obs sink and no flight recorder is
+// installed; with a sink: dial latency per connection attempt, backoff sleep
+// per retry, dial-to-handshake latency per successful reconnect, and decode
+// latency per record fed to a segment decoder (the AddBlock call alone:
+// unmarshal, rejects and overshoot for a finished segment are not timed). On
+// a traced session the dial and decode spans also land on the flight ring,
+// as dial and absorb.
 var (
-	stageFetchDial    = obs.StageOf("fetch.dial")
+	stageFetchDial    = obs.TracedStage("fetch.dial", "dial")
 	stageFetchBackoff = obs.StageOf("fetch.backoff")
 	stageFetchReconn  = obs.StageOf("fetch.reconnect")
-	stageFetchDecode  = obs.StageOf("fetch.record_decode")
+	stageFetchDecode  = obs.TracedStage("fetch.record_decode", "absorb")
 )
 
 // Resilient-client errors.
@@ -278,13 +282,9 @@ func (f *Fetcher) fetch(ctx context.Context) (*FetchResult, error) {
 		if f.established {
 			f.reconnSpan = stageFetchReconn.Start()
 		}
-		dsp := stageFetchDial.Start()
-		var dtsp trace.Span
-		if tr, root, ok := f.TraceContext(); ok {
-			dtsp = trace.Begin(f.traceNode(), "dial", tr, root, -1)
-		}
+		tr, root, _ := f.TraceContext()
+		dsp := stageFetchDial.StartTraced(obs.Trace{Node: f.traceNode(), ID: tr, Parent: root, Seg: -1})
 		conn, err := f.dial(ctx)
-		dtsp.End()
 		dsp.End()
 		if err != nil {
 			if ctx.Err() != nil {
@@ -519,14 +519,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 		}
 		f.stats.records.Inc()
 		f.stats.bytes.Add(int64(n) + 4)
-		asp := stageFetchDecode.Start()
-		err := f.absorb(rec, tr, curRound)
-		if traced {
-			asp.EndTraced(uint64(tr), uint64(curRound))
-		} else {
-			asp.End()
-		}
-		if err != nil {
+		if err := f.absorb(rec, tr, curRound); err != nil {
 			return false, true, err
 		}
 	}
@@ -556,7 +549,7 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 // bug, not line noise), BadSegment (checksummed but an out-of-range
 // segment ID — rejected before it can allocate a stray decoder). Only an
 // internal decoder failure is an error. On a traced session tr names the
-// transfer and round the pump-round span this record rode in on; the absorb
+// transfer and round the pump-round span this record rode in on; the decode
 // span parents under the round, linking origin encode work to leaf decode.
 func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
@@ -602,10 +595,7 @@ func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error
 		// Round-robin overshoot for an already-finished segment.
 		return nil
 	}
-	var sp trace.Span
-	if tr != 0 {
-		sp = trace.Begin(f.traceNode(), "absorb", tr, round, int32(blk.SegmentID))
-	}
+	sp := stageFetchDecode.StartTraced(obs.Trace{Node: f.traceNode(), ID: tr, Parent: round, Seg: int32(blk.SegmentID)})
 	innovative, err := dec.AddBlock(&blk)
 	sp.End()
 	if err != nil {

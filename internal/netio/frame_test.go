@@ -63,20 +63,30 @@ func TestFrameQueueOfferPopDrain(t *testing.T) {
 
 // TestFramePoolRecycles: a released pooled frame's storage is reused by the
 // next allocation of equal-or-smaller size, and wrap hands back cleared
-// headers.
+// headers. The race detector drops a share of sync.Pool Puts on purpose, so
+// under -race one round-trip may miss the pool; there the round-trip is
+// repeated a bounded number of times and one recycle is required. Without
+// -race the first round-trip must recycle.
 func TestFramePoolRecycles(t *testing.T) {
 	pool := &framePool{}
-	buf := pool.allocBuf(64)
-	buf[0] = 0xEE
-	fr := pool.wrap(buf, true)
-	fr.release()
-
-	again := pool.allocBuf(16)
-	if cap(again) < 64 {
-		t.Fatalf("recycled capacity %d, want the original 64", cap(again))
+	tries := 1
+	if raceEnabled {
+		tries = 64
 	}
-	if len(again) != 16 {
-		t.Fatalf("recycled length %d, want requested 16", len(again))
+	var again []byte
+	for i := 0; i < tries && cap(again) < 64; i++ {
+		buf := pool.allocBuf(64)
+		buf[0] = 0xEE
+		fr := pool.wrap(buf, true)
+		fr.release()
+
+		again = pool.allocBuf(16)
+		if len(again) != 16 {
+			t.Fatalf("recycled length %d, want requested 16", len(again))
+		}
+	}
+	if cap(again) < 64 {
+		t.Fatalf("recycled capacity %d, want the original 64 (%d round-trips)", cap(again), tries)
 	}
 
 	// A too-small recycled buffer is dropped, never resliced past cap.

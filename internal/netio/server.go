@@ -15,16 +15,22 @@ import (
 	"extremenc/internal/rlnc"
 )
 
-// Serving-stage spans. Free when no obs sink is installed; with one, each
-// records a latency sample per operation (not per byte): one handshake span
-// per session, one queue-offer span per fan-out operation (per record in
-// FanoutPerRecord, per pump round in FanoutAmortized), one record-send span
-// per wire flush (per record in FanoutPerRecord, per vectored batch in
-// FanoutAmortized).
+// Serving-stage spans. Free when no obs sink and no flight recorder is
+// installed; with a sink, each records a latency sample per operation (not
+// per byte): one handshake span per session, one queue-offer span per
+// fan-out operation (per record in FanoutPerRecord, per pump round in
+// FanoutAmortized), one record-send span per wire flush (per record in
+// FanoutPerRecord, per vectored batch in FanoutAmortized). On a traced
+// server the same spans land on the flight ring under their ring names,
+// next to the ring-only serve (server lifetime), round (one pump round),
+// and encode (the round's source draw) spans.
 var (
 	stageHandshake  = obs.StageOf("netio.handshake")
-	stageQueueOffer = obs.StageOf("netio.queue_offer")
-	stageRecordSend = obs.StageOf("netio.record_send")
+	stageQueueOffer = obs.TracedStage("netio.queue_offer", "queue_offer")
+	stageRecordSend = obs.TracedStage("netio.record_send", "flush")
+	stageServe      = obs.TracedStage("", "serve")
+	stageRound      = obs.TracedStage("", "round")
+	stageEncode     = obs.TracedStage("", "encode")
 )
 
 // Serving errors.
@@ -93,7 +99,7 @@ type Server struct {
 	// receives.
 	traced   bool
 	traceID  trace.TraceID
-	rootSpan trace.Span
+	rootSpan obs.Span
 }
 
 // pumpShard is one encoder pump and the sessions it feeds. Every shard runs
@@ -270,9 +276,15 @@ func newServer(info SessionInfo, cfg serverConfig, pool *framePool, srcs []Recor
 		if s.traceID == 0 {
 			s.traceID = trace.NewTrace()
 		}
-		s.rootSpan = trace.Begin(cfg.TraceNode, "serve", s.traceID, cfg.TraceParent, -1)
+		s.rootSpan = stageServe.StartTraced(s.traceCtx(cfg.TraceParent, -1))
 	}
 	return s, nil
+}
+
+// traceCtx is the trace context of one of this server's spans. An untraced
+// server has trace ID 0, so its spans are untraced.
+func (s *Server) traceCtx(parent trace.SpanID, seg int32) obs.Trace {
+	return obs.Trace{Node: s.cfg.TraceNode, ID: s.traceID, Parent: parent, Seg: seg}
 }
 
 // registerMetrics attaches the server's observability surface to reg: the
@@ -608,21 +620,12 @@ func (s *Server) writeLoop(ss *session) {
 			}
 		}
 		ss.shard.signalConsumed()
-		wsp := stageRecordSend.Start()
-		var fsp trace.Span
-		if s.traced {
-			// The flush span parents under the first frame's round — batches
-			// usually drain in round order, so the attribution error is at
-			// most one round boundary per flush.
-			fsp = trace.Begin(s.cfg.TraceNode, "flush", s.traceID, trace.SpanID(batch[0].round), batch[0].seg)
-		}
+		// The flush span parents under the first frame's round — batches
+		// usually drain in round order, so the attribution error is at most
+		// one round boundary per flush.
+		wsp := stageRecordSend.StartTraced(s.traceCtx(trace.SpanID(batch[0].round), batch[0].seg))
 		sentN, sentBytes, err := s.writeFrames(ss, batch[:n], &bufs, preludes)
-		fsp.End()
-		if s.traced {
-			wsp.EndTraced(uint64(s.traceID), uint64(fsp.ID()))
-		} else {
-			wsp.End()
-		}
+		wsp.End()
 		if sentN > 0 {
 			ss.sent.Add(int64(sentN))
 			ss.bytes.Add(sentBytes)
@@ -790,11 +793,8 @@ func (sh *pumpShard) run() {
 		// encode and queue-offer child spans. Spans of dry rounds are simply
 		// never ended, so idle parking does not flood the ring.
 		seg := segIdx
-		var round, enc trace.Span
-		if s.traced {
-			round = trace.Begin(s.cfg.TraceNode, "round", s.traceID, s.rootSpan.ID(), int32(seg))
-			enc = trace.Begin(s.cfg.TraceNode, "encode", s.traceID, round.ID(), int32(seg))
-		}
+		round := stageRound.StartTraced(s.traceCtx(s.rootSpan.ID(), int32(seg)))
+		enc := stageEncode.StartTraced(s.traceCtx(round.ID(), int32(seg)))
 		recs := sh.src.Records(seg, s.cfg.EncodeBatch)
 		segIdx = (segIdx + 1) % segments
 		if len(recs) == 0 {
@@ -819,12 +819,7 @@ func (sh *pumpShard) run() {
 			fr.seg = int32(seg)
 			frames = append(frames, fr)
 		}
-		var offer trace.Span
-		if s.traced {
-			offer = trace.Begin(s.cfg.TraceNode, "queue_offer", s.traceID, round.ID(), int32(seg))
-		}
 		delivered := sh.fanOut(frames, live)
-		offer.End()
 		round.End()
 		// Drop the pump's own reference; queued copies keep the frames
 		// alive until their writers flush or shed them.
@@ -864,7 +859,8 @@ func (sh *pumpShard) run() {
 // fanOut offers the round's frames to every live session and reports whether
 // any session accepted at least one record. FanoutAmortized takes one bulk
 // offer (one lock, one batched counter update) per session per round;
-// FanoutPerRecord replays the original per-record cost profile.
+// FanoutPerRecord replays the original per-record cost profile. frames is
+// non-empty; each queue-offer span parents under its frames' pump round.
 func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	s := sh.s
 	delivered := false
@@ -873,7 +869,7 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 		var shedTotal int64
 		for _, fr := range frames {
 			one[0] = fr
-			osp := stageQueueOffer.Start()
+			osp := stageQueueOffer.StartTraced(s.traceCtx(trace.SpanID(fr.round), fr.seg))
 			for _, ss := range live {
 				ss.offered.Add(1)
 				s.counters.AddOffered(1)
@@ -896,7 +892,7 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	}
 	nf := int64(len(frames))
 	var roundOffered, roundShed int64
-	osp := stageQueueOffer.Start()
+	osp := stageQueueOffer.StartTraced(s.traceCtx(trace.SpanID(frames[0].round), frames[0].seg))
 	for _, ss := range live {
 		acc := int64(ss.q.offerBatch(frames))
 		ss.offered.Add(nf)

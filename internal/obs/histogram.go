@@ -70,8 +70,7 @@ type Histogram struct {
 
 // Exemplar links one outlier observation to the trace and span that
 // produced it, so a histogram's p99 tail can be attributed to a concrete
-// causal path in a flight-recorder dump. IDs are plain uint64s (the obs
-// package stays independent of obs/trace).
+// causal path in a flight-recorder dump. IDs are plain uint64s.
 type Exemplar struct {
 	TraceID uint64
 	SpanID  uint64

@@ -8,13 +8,18 @@
 //     stream server all register into, so one scrape shows the whole system
 //     in one vocabulary.
 //
-//   - A stage-timing span API (Start / StageOf) whose disabled path is free:
-//     when no sink registry is installed, starting a span reads one atomic
-//     pointer, touches no clock, and allocates nothing, so the hot codec
-//     paths stay instrumented permanently. The paper's methodology is
-//     per-stage measurement (every kernel rung in Table-based-0…5 is a
-//     number); spans make the production pipeline report the same
-//     distributions continuously instead of only under a benchmark.
+//   - A stage-timing span API (StageOf / TracedStage, Start / StartTraced):
+//     one span per stage operation, timed once, feeding both the stage
+//     histogram and — when the span carries a trace context and the
+//     obs/trace flight recorder is on — one span event in the flight ring.
+//     The disabled path is free: with no sink registry and no recorder
+//     installed, starting a span reads one atomic pointer (two when it
+//     carries a trace context), touches no clock, and allocates nothing, so
+//     the hot codec paths stay instrumented permanently. The paper's
+//     methodology is per-stage measurement (every kernel rung in
+//     Table-based-0…5 is a number); spans make the production pipeline
+//     report the same distributions continuously instead of only under a
+//     benchmark.
 //
 //   - An exposition layer: Prometheus text format (WriteText), a JSON
 //     snapshot (SnapshotJSON), an http.Handler wiring /metrics,
@@ -31,11 +36,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"extremenc/internal/obs/trace"
 )
 
 // sink is the process-global registry that stage spans record into. Nil (the
-// default) disables every span: Start returns an inert Span without reading
-// the clock.
+// default) leaves untraced spans inert: Start returns a Span that reads no
+// clock.
 var sink atomic.Pointer[Registry]
 
 // stages is the process-global stage table, name → *Stage. Stages exist
@@ -44,8 +51,8 @@ var sink atomic.Pointer[Registry]
 var stages sync.Map
 
 // SetSink installs reg as the process-global span sink, resolving every
-// known stage to a histogram in reg (created on demand). A nil reg disables
-// spans again. Safe for concurrent use with running spans: spans already
+// known stage to a histogram in reg (created on demand). A nil reg turns the
+// histograms off again. Safe for concurrent use with running spans: spans already
 // started keep recording into the histogram they resolved at start.
 func SetSink(reg *Registry) {
 	sink.Store(reg)
@@ -55,31 +62,43 @@ func SetSink(reg *Registry) {
 	})
 }
 
-// Sink returns the installed span sink registry, or nil when spans are
-// disabled.
-func Sink() *Registry { return sink.Load() }
-
-// Stage is a named timing stage — one histogram of span durations. Hot paths
-// resolve a stage once into a package-level var and call Start per
-// operation; the per-call cost with no sink installed is a single atomic
-// pointer load.
+// Stage is a named timing stage. A span of it is timed once and feeds two
+// consumers: the stage histogram in the installed sink, and — when the span
+// carries a trace context and a flight recorder is enabled — one span event
+// in the obs/trace ring. Hot paths resolve a stage once into a package-level
+// var and call Start per operation; with no sink and no recorder installed
+// the per-call cost is one or two atomic pointer loads and no clock read.
 type Stage struct {
-	name string
+	name string // histogram name; "" for a ring-only stage
+	ring string // stage name on the flight ring
 	h    atomic.Pointer[Histogram]
 }
 
 // StageOf returns the process-global stage for name, creating it if needed.
-// If a sink is already installed, the new stage is resolved into it
-// immediately.
-func StageOf(name string) *Stage {
-	if v, ok := stages.Load(name); ok {
-		return v.(*Stage)
+// Its histogram and its flight-ring stage are both called name. If a sink is
+// already installed, the new stage is resolved into it immediately.
+func StageOf(name string) *Stage { return TracedStage(name, name) }
+
+// TracedStage returns the process-global stage whose histogram is hist and
+// whose traced spans appear on the flight ring as ring. An empty hist
+// declares a ring-only stage: its spans never touch a histogram and it is
+// not resolved into any sink. A histogram name declared twice with
+// different ring names is a programming error and panics.
+func TracedStage(hist, ring string) *Stage {
+	if hist == "" {
+		return &Stage{ring: ring}
 	}
-	s := &Stage{name: name}
-	if v, loaded := stages.LoadOrStore(name, s); loaded {
-		return v.(*Stage)
+	v, ok := stages.Load(hist)
+	if !ok {
+		s := &Stage{name: hist, ring: ring}
+		if v, ok = stages.LoadOrStore(hist, s); !ok {
+			s.resolve(sink.Load())
+		}
 	}
-	s.resolve(sink.Load())
+	s := v.(*Stage)
+	if s.ring != ring {
+		panic("obs: stage " + hist + " declared with ring names " + s.ring + " and " + ring)
+	}
 	return s
 }
 
@@ -92,65 +111,85 @@ func (s *Stage) resolve(reg *Registry) {
 	s.h.Store(reg.Histogram(s.name, "span latency for stage "+s.name))
 }
 
-// Name returns the stage name.
-func (s *Stage) Name() string { return s.name }
+// Trace is a span's trace context: the emitting node, the transfer's trace
+// ID, the parent span and the segment (-1 when not applicable). The zero
+// value means untraced.
+type Trace struct {
+	Node   string
+	ID     trace.TraceID
+	Parent trace.SpanID
+	Seg    int32
+}
 
-// Start begins one span of the stage. With no sink installed it returns an
-// inert Span without touching the clock; End on an inert Span is a no-op.
-// Both paths are allocation-free:
+// Start begins an untraced span of the stage. With no sink installed it
+// returns an inert Span without touching the clock; End on an inert Span is
+// a no-op. Both paths are allocation-free:
 //
 //	defer stage.Start().End()
-func (s *Stage) Start() Span {
+func (s *Stage) Start() Span { return s.StartTraced(Trace{}) }
+
+// StartTraced begins a span of the stage under trace context tc. The span is
+// traced when tc names a trace and a flight recorder is enabled: it then
+// takes a span ID at once, so it can parent children and be stamped into
+// record framing before End. With no sink installed and the span untraced
+// it returns an inert Span without touching the clock.
+func (s *Stage) StartTraced(tc Trace) Span {
 	h := s.h.Load()
-	if h == nil {
+	var r *trace.Recorder
+	if tc.ID != 0 {
+		r = trace.Active()
+	}
+	if h == nil && r == nil {
 		return Span{}
 	}
-	return Span{h: h, t0: time.Now()}
+	sp := Span{s: s, h: h}
+	if r != nil {
+		sp.r, sp.tc, sp.id = r, tc, r.NewSpanID()
+	}
+	sp.t0 = time.Now()
+	return sp
 }
 
 // Span is one in-flight stage timing. The zero value is inert.
 type Span struct {
-	h  *Histogram
+	s  *Stage
+	h  *Histogram      // nil: no sink when the span started
+	r  *trace.Recorder // nil: untraced
+	tc Trace           // zero unless traced
+	id trace.SpanID
 	t0 time.Time
 }
 
-// End records the span's elapsed time into its stage histogram. Inert spans
-// (no sink at Start) do nothing. End may be called at most once per span.
+// ID returns the span's ID on the flight ring, or 0 for an untraced span.
+func (sp Span) ID() trace.SpanID { return sp.id }
+
+// Active reports whether End will record anything.
+func (sp Span) Active() bool { return sp.h != nil || sp.r != nil }
+
+// End reads the clock once and records the span: into the stage histogram
+// when a sink was installed at start (exemplar-linked to the span's own ID
+// when traced), and as one span event on the flight ring when traced. Inert
+// spans do nothing. End may be called at most once per span.
 func (sp Span) End() {
+	if !sp.Active() {
+		return
+	}
+	now := time.Now()
+	d := now.Sub(sp.t0)
 	if sp.h != nil {
-		sp.h.Observe(time.Since(sp.t0))
+		sp.h.ObserveTraced(d, uint64(sp.tc.ID), uint64(sp.id))
+	}
+	if sp.r != nil {
+		sp.r.Publish(&trace.Event{
+			Kind:   trace.KindSpan,
+			TS:     now.UnixNano(),
+			Node:   sp.tc.Node,
+			Stage:  sp.s.ring,
+			Trace:  sp.tc.ID,
+			Span:   sp.id,
+			Parent: sp.tc.Parent,
+			Seg:    sp.tc.Seg,
+			Dur:    d,
+		})
 	}
 }
-
-// EndTraced records the span's elapsed time like End and additionally
-// offers the observation as an exemplar candidate, linking it to a trace
-// and span ID from the obs/trace subsystem. Inert spans do nothing; with
-// exemplar capture disabled on the stage histogram it behaves as End.
-func (sp Span) EndTraced(traceID, spanID uint64) {
-	if sp.h != nil {
-		sp.h.ObserveTraced(time.Since(sp.t0), traceID, spanID)
-	}
-}
-
-// Active reports whether the span is recording (a sink was installed when it
-// started).
-func (sp Span) Active() bool { return sp.h != nil }
-
-// Start is the convenience span form: it begins a span of the named stage
-// and returns the function that ends it.
-//
-//	defer obs.Start("rlnc.absorb")()
-//
-// When no sink is installed it returns a shared no-op function without
-// reading the clock or allocating; with a sink installed the returned
-// closure costs one allocation, so hot paths should prefer a package-level
-// StageOf handle with Start/End.
-func Start(name string) func() {
-	if sink.Load() == nil {
-		return noopEnd
-	}
-	sp := StageOf(name).Start()
-	return sp.End
-}
-
-var noopEnd = func() {}

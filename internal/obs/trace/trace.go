@@ -8,7 +8,10 @@
 //   - Spans: timed intervals (encode round, queue offer, writev flush, dial,
 //     record absorb) linked into a causal tree by (Trace, Span, Parent) IDs.
 //     IDs are process-local uint64s; the wire layer carries them across nodes
-//     so one generation's records stay linkable origin → relay → leaf.
+//     so one generation's records stay linkable origin → relay → leaf. Spans
+//     are opened through obs.Stage (StartTraced), which times each stage once
+//     for both its histogram and this ring and publishes the completed span
+//     here.
 //   - Flight events: point-in-time facts (admission decisions, brownout rung
 //     transitions, sheds, reconnects, redirects, rank milestones, fault
 //     injections) recorded for postmortems when a chaos gate fails.
@@ -155,10 +158,16 @@ func (r *Recorder) Cap() int { return len(r.slots) }
 // since overwritten by ring wrap.
 func (r *Recorder) Published() uint64 { return r.seq.Load() }
 
-func (r *Recorder) record(e *Event) {
+// Publish stamps e with the next sequence number and stores it in the ring.
+// e must not be modified afterwards.
+func (r *Recorder) Publish(e *Event) {
 	e.Seq = r.seq.Add(1) - 1
 	r.slots[e.Seq&r.mask].Store(e)
 }
+
+// NewSpanID mints a fresh span ID from the allocator trace IDs share, so no
+// span ID ever equals a trace ID.
+func (r *Recorder) NewSpanID() SpanID { return SpanID(r.ids.Add(1)) }
 
 // Events snapshots the ring, sorted by sequence number. The snapshot is not
 // a consistent cut (standard for lock-free collectors) but every returned
@@ -187,8 +196,8 @@ func Enable(size int) *Recorder {
 	return r
 }
 
-// Disable removes the global recorder. In-flight spans complete as no-ops
-// against their captured recorder.
+// Disable removes the global recorder. In-flight spans still publish into
+// the recorder they started with.
 func Disable() { active.Store(nil) }
 
 // Enabled reports whether a global recorder is installed.
@@ -206,65 +215,6 @@ func NewTrace() TraceID {
 	return TraceID(r.ids.Add(1))
 }
 
-// Span is an in-flight timed interval. The zero Span (returned when tracing
-// is disabled) is inert: ID() is 0 and End() does nothing, so call sites
-// never branch.
-type Span struct {
-	r      *Recorder
-	node   string
-	stage  string
-	tr     TraceID
-	id     SpanID
-	parent SpanID
-	seg    int32
-	t0     time.Time
-}
-
-// Begin starts a span. When tracing is disabled this is one atomic load and
-// zero allocations. seg is the segment index, or -1 when not applicable.
-func Begin(node, stage string, tr TraceID, parent SpanID, seg int32) Span {
-	r := active.Load()
-	if r == nil {
-		return Span{}
-	}
-	return Span{
-		r:      r,
-		node:   node,
-		stage:  stage,
-		tr:     tr,
-		id:     SpanID(r.ids.Add(1)),
-		parent: parent,
-		seg:    seg,
-		t0:     time.Now(),
-	}
-}
-
-// ID returns the span's ID (0 for the inert span), available immediately so
-// it can parent children or be stamped into record framing before End.
-func (s Span) ID() SpanID { return s.id }
-
-// Active reports whether the span will record on End.
-func (s Span) Active() bool { return s.r != nil }
-
-// End publishes the completed span.
-func (s Span) End() {
-	if s.r == nil {
-		return
-	}
-	now := time.Now()
-	s.r.record(&Event{
-		Kind:   KindSpan,
-		TS:     now.UnixNano(),
-		Node:   s.node,
-		Stage:  s.stage,
-		Trace:  s.tr,
-		Span:   s.id,
-		Parent: s.parent,
-		Seg:    s.seg,
-		Dur:    now.Sub(s.t0),
-	})
-}
-
 // Emit records a flight event. When tracing is disabled this is one atomic
 // load and zero allocations. seg is the segment index or -1; value carries
 // a kind-specific magnitude.
@@ -273,7 +223,7 @@ func Emit(k Kind, node, detail string, seg int32, value int64) {
 	if r == nil {
 		return
 	}
-	r.record(&Event{
+	r.Publish(&Event{
 		Kind:  k,
 		TS:    time.Now().UnixNano(),
 		Node:  node,
