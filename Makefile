@@ -8,7 +8,7 @@ GO ?= go
 # and mirrored by the CI workflow.
 RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ .
 
-.PHONY: all build fmt-check vet test perfbench-check race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke stress loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
+.PHONY: all build fmt-check vet test portable perfbench-check race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke stress loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
 
 all: build vet test
 
@@ -27,6 +27,16 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Portable-kernel gate. On amd64 the GF(2^8)/XOR kernels dispatch to AVX2
+# assembly, so an amd64 test run meets the portable kernels only as the
+# differential oracle and on row tails. A 386 build has no assembly rung:
+# its run of the gf256 and rlnc suites takes the portable path end to end
+# (386 binaries run natively on an amd64 host). The arm64 pass vets and
+# builds the whole tree for a target with no vector rung at all.
+portable:
+	GOARCH=386 $(GO) test -count=1 ./internal/gf256/ ./internal/rlnc/
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 # The benchmark harness is its own Go module (perfbench/go.mod replaces
 # extremenc with ../), so `go test ./...` at the root never compiles it. Vet
@@ -214,7 +224,7 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 0.7
 
 # Everything the CI workflow runs, reproducible locally with one command.
-ci: build fmt-check vet staticcheck test perfbench-check race fuzz-regress chaos bench-smoke serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke
+ci: build fmt-check vet staticcheck test portable perfbench-check race fuzz-regress chaos bench-smoke serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke
 
 # Run every example program.
 examples:

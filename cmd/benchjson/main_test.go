@@ -20,6 +20,7 @@ pkg: extremenc/internal/gf256
 cpu: Test CPU
 BenchmarkMulAddLadder/table-scalar/k=4096-8   1000   1000 ns/op   1000.00 MB/s
 BenchmarkMulAddLadder/fused4x2/k=4096-8       1000    500 ns/op   1700.00 MB/s
+BenchmarkMulAddLadder/simd4x2/k=4096-8        1000     50 ns/op  17000.00 MB/s
 BenchmarkXorLadder/xor-repair-encode/k=4096-8 1000    100 ns/op   5950.00 MB/s
 garbage line that is not a benchmark
 BenchmarkBroken   not-a-number   10 ns/op
@@ -36,8 +37,8 @@ func parseText(t *testing.T, text string) *Document {
 
 func TestParseAndDerive(t *testing.T) {
 	doc := parseText(t, benchText)
-	if len(doc.Benchmarks) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3", len(doc.Benchmarks))
+	if len(doc.Benchmarks) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4", len(doc.Benchmarks))
 	}
 	if doc.GOOS != "linux" || doc.CPU != "Test CPU" {
 		t.Fatalf("host fields: %q %q", doc.GOOS, doc.CPU)
@@ -51,6 +52,12 @@ func TestParseAndDerive(t *testing.T) {
 	}
 	if got := doc.Derived["xor_repair_encode_over_fused4x2_k4096_x"]; got < 3.4 || got > 3.6 {
 		t.Fatalf("xor multiple = %v, want ~3.5", got)
+	}
+	if got := doc.Derived["simd4x2_over_fused4x2_k4096_x"]; got < 9.9 || got > 10.1 {
+		t.Fatalf("simd multiple = %v, want 10", got)
+	}
+	if got := doc.Derived["xor_repair_encode_over_simd4x2_k4096_x"]; got < 0.34 || got > 0.36 {
+		t.Fatalf("xor over simd multiple = %v, want 0.35", got)
 	}
 }
 

@@ -483,10 +483,17 @@ func NewSourceServer(src RecordSource, opts ...NetServerOption) (*NetServer, err
 	return netio.NewSourceServer(src, opts...)
 }
 
-// FrameRecord marshals one coded block into the record framing for mode —
-// the helper RecordSource implementations use to produce wire records.
+// FrameRecord marshals one coded block into the record framing for mode, in
+// a freshly allocated buffer.
 func FrameRecord(b *CodedBlock, mode WireMode) ([]byte, error) {
 	return netio.FrameRecord(b, mode)
+}
+
+// FrameRecordWith is FrameRecord into a buffer from alloc — the helper
+// RecordSource implementations use to frame records into the allocator
+// their Records call receives.
+func FrameRecordWith(b *CodedBlock, mode WireMode, alloc func(int) []byte) ([]byte, error) {
+	return netio.FrameRecordWith(b, mode, alloc)
 }
 
 // Redirector is a mutable dial target: it satisfies DialFunc while letting

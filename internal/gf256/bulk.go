@@ -15,9 +15,17 @@ import "encoding/binary"
 //     word, so each dst word is loaded and stored exactly once, and
 //   - fused 2- and 4-source kernels (MulAddSlice2 / MulAddSlice4) that apply
 //     several coefficient·source pairs per destination pass — the host
-//     analogue of the paper's register-blocked accumulation.
+//     analogue of the paper's register-blocked accumulation, and
+//   - on amd64 hosts with AVX2, VPSHUFB nibble-table kernels (simd_amd64.s)
+//     that multiply 32 bytes per instruction pair — the SSE2 baseline of the
+//     paper's CPU comparison, one register width up.
 //
-// MulAddSlice picks a strategy by row length; BenchmarkMulAddLadder
+// Each exported kernel takes its 0/1 coefficient shortcuts, runs the vector
+// kernel over the longest 32-byte-multiple prefix it can (none without
+// AVX2), and finishes the tail with the portable kernel. The portable
+// kernels are whole-row functions of their own: the fallback on every other
+// host, and the oracle the differential tests hold the vector rung to.
+// MulAddSlice picks a portable strategy by row length; BenchmarkMulAddLadder
 // exercises every rung directly.
 
 const (
@@ -64,10 +72,16 @@ func AddSlice(dst, src []byte) {
 
 // XorSlice computes dst[i] ^= src[i] for every i — the pure GF(2) row
 // operation of the systematic/XOR fast path. It needs no log/exp or product
-// tables: four 64-bit words per iteration, with 8-byte and scalar tails.
-// len(src) must not exceed len(dst); rows may not partially alias (identical
-// slices are fine and zero the row).
+// tables. len(src) must not exceed len(dst); rows may not partially alias
+// (identical slices are fine and zero the row).
 func XorSlice(dst, src []byte) {
+	i := xorVec(dst, src)
+	xorWords(dst[i:], src[i:])
+}
+
+// xorWords is the portable XorSlice: four 64-bit words per iteration, with
+// 8-byte and scalar tails.
+func xorWords(dst, src []byte) {
 	n := len(src)
 	dst = dst[:n] // equal lengths: the first in-loop bounds check proves away the rest
 	i := 0
@@ -99,6 +113,14 @@ func XorSlice(dst, src []byte) {
 // must be at least that long. Sources may not partially alias dst.
 func XorSlice4(dst, s1, s2, s3, s4 []byte) {
 	n := len(dst)
+	s1, s2, s3, s4 = s1[:n], s2[:n], s3[:n], s4[:n]
+	i := xor4Vec(dst, s1, s2, s3, s4)
+	xor4Words(dst[i:], s1[i:], s2[i:], s3[i:], s4[i:])
+}
+
+// xor4Words is the portable XorSlice4.
+func xor4Words(dst, s1, s2, s3, s4 []byte) {
+	n := len(dst)
 	s1 = s1[:n] // equal lengths: the first in-loop bounds check
 	s2 = s2[:n] // proves away the rest
 	s3 = s3[:n]
@@ -129,8 +151,8 @@ func XorSlice4(dst, s1, s2, s3, s4 []byte) {
 }
 
 // MulAddSlice computes dst[i] ^= c·src[i] — the fundamental network-coding
-// row operation. It dispatches on row length between the bit-sliced and
-// table-row strategies.
+// row operation. Past the vector prefix it dispatches on the remaining
+// length between the bit-sliced and table-row strategies.
 func MulAddSlice(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -139,36 +161,13 @@ func MulAddSlice(dst, src []byte, c byte) {
 		AddSlice(dst, src)
 		return
 	}
+	i := mulAddVec(dst, src, c)
+	dst, src = dst[i:], src[i:]
 	if len(src) >= tableRowThreshold {
 		mulAddTable(dst, src, c)
 		return
 	}
 	mulAddBitSliced(dst, src, c)
-}
-
-// MulAddSliceLoop is the always-bit-sliced variant, exported for ablation
-// benchmarks and for tests that pin the strategy.
-func MulAddSliceLoop(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
-	mulAddBitSliced(dst, src, c)
-}
-
-// MulAddSliceTable is the always-table-row variant.
-func MulAddSliceTable(dst, src []byte, c byte) {
-	switch c {
-	case 0:
-		return
-	case 1:
-		AddSlice(dst, src)
-		return
-	}
-	mulAddTable(dst, src, c)
 }
 
 func mulAddBitSliced(dst, src []byte, c byte) {
@@ -233,29 +232,13 @@ func mulAddTable(dst, src []byte, c byte) {
 	}
 }
 
-// mulAddTableScalar is the pre-wide-word rung — one dst read-modify-write
-// per table lookup. Kept so BenchmarkMulAddLadder can measure the wide
-// gather against the exact kernel it replaced.
-func mulAddTableScalar(dst, src []byte, c byte) {
-	row := &_tables.mul[c]
-	n := len(src)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		dst[i] ^= row[src[i]]
-		dst[i+1] ^= row[src[i+1]]
-		dst[i+2] ^= row[src[i+2]]
-		dst[i+3] ^= row[src[i+3]]
-	}
-	for ; i < n; i++ {
-		dst[i] ^= row[src[i]]
-	}
-}
-
-// MulAddSlice2 computes dst[i] ^= c1·src1[i] ^ c2·src2[i] in a single pass:
-// each destination word is loaded and stored once for both sources. The
-// kernel runs over len(dst) bytes; both sources must be at least that long.
-// Zero coefficients degrade to the single-source kernel; coefficient 1 flows
-// through the table's identity row unchanged.
+// MulAddSlice2 computes dst[i] ^= c1·src1[i] ^ c2·src2[i]. The portable
+// kernel makes a single pass, loading and storing each destination word once
+// for both sources; the vector rung makes one single-source pass per source,
+// so neither source may alias dst. The kernel runs over len(dst) bytes; both
+// sources must be at least that long. Zero coefficients degrade to the
+// single-source kernel; coefficient 1 flows through the table's identity row
+// unchanged.
 func MulAddSlice2(dst, src1, src2 []byte, c1, c2 byte) {
 	if c1 == 0 {
 		MulAddSlice(dst, src2[:len(dst)], c2)
@@ -265,6 +248,15 @@ func MulAddSlice2(dst, src1, src2 []byte, c1, c2 byte) {
 		MulAddSlice(dst, src1[:len(dst)], c1)
 		return
 	}
+	n := len(dst)
+	src1, src2 = src1[:n], src2[:n]
+	i := mulAddVec(dst, src1, c1)
+	mulAddVec(dst, src2, c2)
+	mulAdd2Table(dst[i:], src1[i:], src2[i:], c1, c2)
+}
+
+// mulAdd2Table is the portable MulAddSlice2 for any coefficients.
+func mulAdd2Table(dst, src1, src2 []byte, c1, c2 byte) {
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
 	n := len(dst)
@@ -317,6 +309,14 @@ func MulAddSlice4(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 		}
 		return
 	}
+	n := len(dst)
+	s1, s2, s3, s4 = s1[:n], s2[:n], s3[:n], s4[:n]
+	i := mulAdd4Vec(dst, s1, s2, s3, s4, c1, c2, c3, c4)
+	mulAdd4Table(dst[i:], s1[i:], s2[i:], s3[i:], s4[i:], c1, c2, c3, c4)
+}
+
+// mulAdd4Table is the portable MulAddSlice4 for any coefficients.
+func mulAdd4Table(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
 	r3 := &_tables.mul[c3]
@@ -383,8 +383,9 @@ func MulAddSlice4(dst, s1, s2, s3, s4 []byte, c1, c2, c3, c4 byte) {
 // Each source word is loaded and byte-extracted once for both destinations —
 // the shape of Gauss–Jordan elimination, where one pivot row is eliminated
 // out of many rows with per-row factors. Both destinations must be the same
-// length; src must be at least that long. A zero coefficient drops to the
-// single-destination kernel.
+// length; src must be at least that long and may not alias either
+// destination. A zero coefficient drops to the single-destination kernel;
+// the vector rung makes one single-source pass per destination.
 func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
 	if c1 == 0 {
 		MulAddSlice(d2, src[:len(d2)], c2)
@@ -394,6 +395,15 @@ func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
 		MulAddSlice(d1, src[:len(d1)], c1)
 		return
 	}
+	n := len(d1)
+	d2, src = d2[:n], src[:n]
+	i := mulAddVec(d1, src, c1)
+	mulAddVec(d2, src, c2)
+	mulAdd1x2Table(d1[i:], d2[i:], src[i:], c1, c2)
+}
+
+// mulAdd1x2Table is the portable MulAddSlice1x2 for any coefficients.
+func mulAdd1x2Table(d1, d2, src []byte, c1, c2 byte) {
 	r1 := &_tables.mul[c1]
 	r2 := &_tables.mul[c2]
 	n := len(d1)
@@ -441,12 +451,14 @@ func MulAddSlice1x2(d1, d2, src []byte, c1, c2 byte) {
 //	d1[i] ^= ca[0]·s1[i] ^ ca[1]·s2[i] ^ ca[2]·s3[i] ^ ca[3]·s4[i]
 //	d2[i] ^= cb[0]·s1[i] ^ cb[1]·s2[i] ^ cb[2]·s3[i] ^ cb[3]·s4[i]
 //
-// This is the widest rung of the ladder: the four source words and the 32
+// This is the widest portable rung: the four source words and the 32
 // extracted source bytes are loaded and shifted once, then feed both
 // destinations' table lookups — the per-byte extraction cost is halved
 // relative to two MulAddSlice4 passes. Both destinations must be the same
-// length; sources must be at least that long. Any zero coefficient drops to
-// the narrower kernels, which compact zeros out.
+// length; sources must be at least that long and may not alias either
+// destination. Any zero coefficient drops to the narrower kernels, which
+// compact zeros out. The vector rung runs as two 4-source passes: the
+// 2×4 table pairs of a fused pass would not fit in 16 YMM registers.
 func MulAddSlice4x2(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
 	if ca[0] == 0 || ca[1] == 0 || ca[2] == 0 || ca[3] == 0 ||
 		cb[0] == 0 || cb[1] == 0 || cb[2] == 0 || cb[3] == 0 {
@@ -454,6 +466,15 @@ func MulAddSlice4x2(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
 		MulAddSlice4(d2, s1, s2, s3, s4, cb[0], cb[1], cb[2], cb[3])
 		return
 	}
+	n := len(d1)
+	d2, s1, s2, s3, s4 = d2[:n], s1[:n], s2[:n], s3[:n], s4[:n]
+	i := mulAdd4Vec(d1, s1, s2, s3, s4, ca[0], ca[1], ca[2], ca[3])
+	mulAdd4Vec(d2, s1, s2, s3, s4, cb[0], cb[1], cb[2], cb[3])
+	mulAdd4x2Table(d1[i:], d2[i:], s1[i:], s2[i:], s3[i:], s4[i:], ca, cb)
+}
+
+// mulAdd4x2Table is the portable MulAddSlice4x2 for any coefficients.
+func mulAdd4x2Table(d1, d2, s1, s2, s3, s4 []byte, ca, cb [4]byte) {
 	ra1 := &_tables.mul[ca[0]]
 	ra2 := &_tables.mul[ca[1]]
 	ra3 := &_tables.mul[ca[2]]
@@ -583,6 +604,12 @@ func MulSlice(dst, src []byte, c byte) {
 		copy(dst, src)
 		return
 	}
+	i := mulVec(dst, src, c)
+	mulTable(dst[i:], src[i:], c)
+}
+
+// mulTable is the portable MulSlice for any coefficient.
+func mulTable(dst, src []byte, c byte) {
 	row := &_tables.mul[c]
 	for i, v := range src {
 		dst[i] = row[v]

@@ -6,6 +6,52 @@ import (
 	"testing"
 )
 
+// Ladder-only baselines. Production code has one MulAddSlice; these pin a
+// single portable strategy so tests and BenchmarkMulAddStrategies can
+// compare the strategies directly.
+
+// MulAddSliceLoop is the always-bit-sliced variant.
+func MulAddSliceLoop(dst, src []byte, c byte) {
+	switch c {
+	case 0:
+		return
+	case 1:
+		xorWords(dst, src)
+		return
+	}
+	mulAddBitSliced(dst, src, c)
+}
+
+// MulAddSliceTable is the always-table-row variant.
+func MulAddSliceTable(dst, src []byte, c byte) {
+	switch c {
+	case 0:
+		return
+	case 1:
+		xorWords(dst, src)
+		return
+	}
+	mulAddTable(dst, src, c)
+}
+
+// mulAddTableScalar is the pre-wide-word rung — one dst read-modify-write
+// per table lookup. Kept so BenchmarkMulAddLadder can measure the wide
+// gather against the exact kernel it replaced.
+func mulAddTableScalar(dst, src []byte, c byte) {
+	row := &_tables.mul[c]
+	n := len(src)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		dst[i] ^= row[src[i]]
+		dst[i+1] ^= row[src[i+1]]
+		dst[i+2] ^= row[src[i+2]]
+		dst[i+3] ^= row[src[i+3]]
+	}
+	for ; i < n; i++ {
+		dst[i] ^= row[src[i]]
+	}
+}
+
 // Differential coverage for the wide-word kernels: every new path is pinned
 // against the mulSlow reference over lengths 0–257 so both the 8-byte main
 // loops and every odd tail shape are exercised.
@@ -269,7 +315,10 @@ func TestDotProductFusedTails(t *testing.T) {
 // BenchmarkMulAddLadder measures every rung of the host kernel ladder at the
 // paper's reference block size (k=4096) and around the dispatch threshold.
 // Fused rungs report throughput in source bytes processed per second, so the
-// MB/s column is directly comparable across rungs.
+// MB/s column is directly comparable across rungs. The portable rungs call
+// the portable kernels directly, so their committed numbers stay comparable
+// on any host; the simd rungs call the exported, dispatched kernels (the
+// AVX2 rung where the CPU has it, the portable path elsewhere).
 func BenchmarkMulAddLadder(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	for _, k := range []int{16, 64, 1024, 4096} {
@@ -302,24 +351,43 @@ func BenchmarkMulAddLadder(b *testing.B) {
 			// two rows under elimination — the Gauss–Jordan shape).
 			b.SetBytes(int64(2 * k))
 			for i := 0; i < b.N; i++ {
-				MulAddSlice1x2(dst, dst1x2, s1, 0xA7, 0x1D)
+				mulAdd1x2Table(dst, dst1x2, s1, 0xA7, 0x1D)
 			}
 		})
 		b.Run(fmt.Sprintf("fused2/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(2 * k))
 			for i := 0; i < b.N; i++ {
-				MulAddSlice2(dst, s1, s2, 0xA7, 0x1D)
+				mulAdd2Table(dst, s1, s2, 0xA7, 0x1D)
 			}
 		})
 		b.Run(fmt.Sprintf("fused4/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(4 * k))
 			for i := 0; i < b.N; i++ {
-				MulAddSlice4(dst, s1, s2, s3, s4, 0xA7, 0x1D, 0x53, 0xCA)
+				mulAdd4Table(dst, s1, s2, s3, s4, 0xA7, 0x1D, 0x53, 0xCA)
 			}
 		})
 		dst2 := randomBytes(rng, k)
 		b.Run(fmt.Sprintf("fused4x2/k=%d", k), func(b *testing.B) {
 			// Eight source·destination lanes per call.
+			b.SetBytes(int64(8 * k))
+			for i := 0; i < b.N; i++ {
+				mulAdd4x2Table(dst, dst2, s1, s2, s3, s4,
+					[4]byte{0xA7, 0x1D, 0x53, 0xCA}, [4]byte{0x29, 0x77, 0xFE, 0x02})
+			}
+		})
+		b.Run(fmt.Sprintf("simd1/k=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(k))
+			for i := 0; i < b.N; i++ {
+				MulAddSlice(dst, s1, 0xA7)
+			}
+		})
+		b.Run(fmt.Sprintf("simd4/k=%d", k), func(b *testing.B) {
+			b.SetBytes(int64(4 * k))
+			for i := 0; i < b.N; i++ {
+				MulAddSlice4(dst, s1, s2, s3, s4, 0xA7, 0x1D, 0x53, 0xCA)
+			}
+		})
+		b.Run(fmt.Sprintf("simd4x2/k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(8 * k))
 			for i := 0; i < b.N; i++ {
 				MulAddSlice4x2(dst, dst2, s1, s2, s3, s4,

@@ -604,6 +604,22 @@ func TestMeshRollingRestart(t *testing.T) {
 		}
 	}
 
+	// A wave starts only once the pool lists every relay as active. A relay
+	// that has not heartbeated yet (warm-up can finish inside the first
+	// heartbeat period) or has only just rejoined is skipped by assignment
+	// and is no REDIRECT target: a wave assigned then piles every leaf onto
+	// the one active relay, or drains a relay with no survivor to name and
+	// answers BUSY until remediation's sweep moves the leaf.
+	allActive := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); len(m.Pool().InState(StateActive)) < topo.Relays; {
+			if time.Now().After(deadline) {
+				t.Fatalf("relays never all active: %+v", m.Pool().Snapshot())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
 	// Rolling restarts: one relay per wave, in sequence.
 	for round, relayID := range []string{"relay-0", "relay-1"} {
 		var relay *Relay
@@ -612,6 +628,7 @@ func TestMeshRollingRestart(t *testing.T) {
 				relay = r
 			}
 		}
+		allActive()
 		wave := make([]*Leaf, 0, 3)
 		for i := 0; i < 3; i++ {
 			leaf, err := m.AddLeaf(ctx)

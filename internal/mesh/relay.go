@@ -65,6 +65,7 @@ type Relay struct {
 	retired  netio.CounterView
 	info     netio.SessionInfo // learned from the upstream handshake
 	recoders []*rlnc.Recoder
+	emit     rlnc.CodedBlock // reused by every recoder emission; framed before the next
 
 	// serveCtx bounds every downstream server the relay ever starts,
 	// including post-Restart replacements.
@@ -322,13 +323,15 @@ func (r *Relay) Close() {
 }
 
 // relaySource adapts a Relay to netio.RecordSource: each Records call draws
-// fresh recombinations from the segment's recoder. A segment with no rank
-// yet returns nothing and the server pump backs off briefly.
+// fresh recombinations from the segment's recoder into the relay's one
+// reusable block and frames each straight into the serving server's frame
+// pool, so an emitted record costs no allocation of its own. A segment with
+// no rank yet returns nothing and the server pump backs off briefly.
 type relaySource Relay
 
 func (rs *relaySource) Info() netio.SessionInfo { return (*Relay)(rs).Info() }
 
-func (rs *relaySource) Records(seg, batch int) [][]byte {
+func (rs *relaySource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	r := (*Relay)(rs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -345,11 +348,10 @@ func (rs *relaySource) Records(seg, batch int) [][]byte {
 	rec := r.recoders[seg]
 	out := make([][]byte, 0, batch)
 	for i := 0; i < batch; i++ {
-		blk, err := rec.Emit()
-		if err != nil {
+		if err := rec.EmitInto(&r.emit); err != nil {
 			break
 		}
-		framed, err := netio.FrameRecord(blk, r.info.Mode)
+		framed, err := netio.FrameRecordWith(&r.emit, r.info.Mode, alloc)
 		if err != nil {
 			continue
 		}

@@ -90,6 +90,7 @@ type Fetcher struct {
 	hdr         *sessionHeader
 	established bool
 	decoders    map[uint32]*rlnc.Decoder
+	blk         rlnc.CodedBlock // absorb's reused block when no tap keeps blocks
 	ready       int
 	stats       fetcherMetrics
 
@@ -484,6 +485,9 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 	var lenBuf [4]byte
 	var preBuf [recordPreludeLen]byte
 	var curRound trace.SpanID
+	// One read buffer serves every record of the session: absorb copies the
+	// coefficients and payload out into a fresh block before the next read.
+	recBuf := make([]byte, max(expect, expectXor))
 	for f.remaining() > 0 {
 		if traced {
 			// Traced framing: a CRC-guarded round prelude precedes every
@@ -512,7 +516,7 @@ func (f *Fetcher) session(ctx context.Context, conn net.Conn) (done, fatal bool,
 			f.stats.bytesDiscarded.Add(4)
 			return f.streamErr(ctx, fmt.Errorf("%w: %d, want %d: resynchronizing", ErrRecordLength, n, expect))
 		}
-		rec := make([]byte, n)
+		rec := recBuf[:n]
 		if m, err := io.ReadFull(conn, rec); err != nil {
 			f.stats.bytesDiscarded.Add(int64(m) + 4)
 			return f.streamErr(ctx, fmt.Errorf("%w: truncated record: %v", ErrStreamTruncated, err))
@@ -551,17 +555,25 @@ func (f *Fetcher) streamErr(ctx context.Context, err error) (bool, bool, error) 
 // internal decoder failure is an error. On a traced session tr names the
 // transfer and round the pump-round span this record rode in on; the decode
 // span parents under the round, linking origin encode work to leaf decode.
+// rec is the session's read buffer: nothing may keep it past the call.
 func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error {
 	discard := func() { f.stats.bytesDiscarded.Add(int64(len(rec)) + 4) }
-	var blk rlnc.CodedBlock
-	unmarshal := blk.UnmarshalBinary
+	// The decoders copy what they keep, so without a tap the block's storage
+	// is reused record to record; a tap is promised a fresh block.
+	blk := &f.blk
+	if f.cfg.RecordTap != nil {
+		blk = new(rlnc.CodedBlock)
+	}
+	var err error
 	if f.hdr.mode == ModeSystematic {
 		// Systematic sessions interleave both encodings; dispatch on the
 		// record magic. Dense sessions stay strict: an XNC2 record there is
 		// a server bug, rejected below as bad magic.
-		unmarshal = blk.UnmarshalRecord
+		err = blk.UnmarshalRecord(rec)
+	} else {
+		err = blk.UnmarshalBinary(rec)
 	}
-	if err := unmarshal(rec); err != nil {
+	if err != nil {
 		if errors.Is(err, rlnc.ErrBadChecksum) || errors.Is(err, rlnc.ErrBadMagic) {
 			f.stats.corrupt.Inc()
 		} else {
@@ -581,11 +593,10 @@ func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error
 		return nil
 	}
 	if f.cfg.RecordTap != nil {
-		f.cfg.RecordTap(&blk)
+		f.cfg.RecordTap(blk)
 	}
 	dec := f.decoders[blk.SegmentID]
 	if dec == nil {
-		var err error
 		if dec, err = rlnc.NewDecoder(f.hdr.params); err != nil {
 			return err
 		}
@@ -596,7 +607,7 @@ func (f *Fetcher) absorb(rec []byte, tr trace.TraceID, round trace.SpanID) error
 		return nil
 	}
 	sp := stageFetchDecode.StartTraced(obs.Trace{Node: f.traceNode(), ID: tr, Parent: round, Seg: int32(blk.SegmentID)})
-	innovative, err := dec.AddBlock(&blk)
+	innovative, err := dec.AddBlock(blk)
 	sp.End()
 	if err != nil {
 		return err

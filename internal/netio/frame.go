@@ -14,10 +14,9 @@ import (
 // recycles its frame storage instead of churning the GC at queue depth ×
 // session count.
 type frameRef struct {
-	buf    []byte
-	refs   atomic.Int32
-	pooled bool // buf came from pool and may be recycled
-	pool   *framePool
+	buf  []byte
+	refs atomic.Int32
+	pool *framePool
 
 	// Trace attribution, stamped by a traced pump: the round span that
 	// encoded this record (written as the wire prelude) and its segment.
@@ -49,7 +48,8 @@ type framePool struct {
 }
 
 // allocBuf returns a length-n buffer, reusing a recycled one when its
-// capacity suffices. It is the allocator handed to pooled record sources.
+// capacity suffices. It is the allocator the pumps hand to their record
+// sources.
 func (p *framePool) allocBuf(n int) []byte {
 	if v := p.bufs.Get(); v != nil {
 		b := *(v.(*[]byte))
@@ -60,9 +60,9 @@ func (p *framePool) allocBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// wrap adopts buf as a new single-reference frame. pooled marks whether buf
-// came from allocBuf and may be recycled on release.
-func (p *framePool) wrap(buf []byte, pooled bool) *frameRef {
+// wrap adopts buf as a new single-reference frame; its storage returns to
+// the pool on the last release.
+func (p *framePool) wrap(buf []byte) *frameRef {
 	var fr *frameRef
 	if v := p.frames.Get(); v != nil {
 		fr = v.(*frameRef)
@@ -70,7 +70,6 @@ func (p *framePool) wrap(buf []byte, pooled bool) *frameRef {
 		fr = &frameRef{}
 	}
 	fr.buf = buf
-	fr.pooled = pooled
 	fr.pool = p
 	fr.round = 0
 	fr.seg = -1
@@ -79,10 +78,8 @@ func (p *framePool) wrap(buf []byte, pooled bool) *frameRef {
 }
 
 func (p *framePool) recycle(f *frameRef) {
-	if f.pooled {
-		buf := f.buf[:0]
-		p.bufs.Put(&buf)
-	}
+	buf := f.buf[:0]
+	p.bufs.Put(&buf)
 	f.buf = nil
 	f.pool = nil
 	p.frames.Put(f)

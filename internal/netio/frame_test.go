@@ -15,7 +15,7 @@ func TestFrameQueueOfferPopDrain(t *testing.T) {
 	}
 	frames := make([]*frameRef, 6)
 	for i := range frames {
-		frames[i] = pool.wrap([]byte{byte(i)}, true)
+		frames[i] = pool.wrap([]byte{byte(i)})
 	}
 	if k := q.offerBatch(frames); k != 4 {
 		t.Fatalf("offerBatch accepted %d of 6 into depth 4, want 4", k)
@@ -77,7 +77,7 @@ func TestFramePoolRecycles(t *testing.T) {
 	for i := 0; i < tries && cap(again) < 64; i++ {
 		buf := pool.allocBuf(64)
 		buf[0] = 0xEE
-		fr := pool.wrap(buf, true)
+		fr := pool.wrap(buf)
 		fr.release()
 
 		again = pool.allocBuf(16)
@@ -90,7 +90,7 @@ func TestFramePoolRecycles(t *testing.T) {
 	}
 
 	// A too-small recycled buffer is dropped, never resliced past cap.
-	small := pool.wrap(pool.allocBuf(8), true)
+	small := pool.wrap(pool.allocBuf(8))
 	small.release()
 	big := pool.allocBuf(1 << 16)
 	if len(big) != 1<<16 {
@@ -102,7 +102,7 @@ func TestFramePoolRecycles(t *testing.T) {
 // fan-out accounting bug and must fail loudly, not corrupt a recycled buffer.
 func TestFrameReleaseUnderflowPanics(t *testing.T) {
 	pool := &framePool{}
-	fr := pool.wrap(make([]byte, 8), false)
+	fr := pool.wrap(make([]byte, 8))
 	fr.retain()
 	fr.release()
 	fr.release() // refcount hits zero: frame recycled

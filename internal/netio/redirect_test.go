@@ -281,10 +281,12 @@ func newPoolSource(t *testing.T, obj *rlnc.Object, perSeg int) *poolSource {
 
 func (s *poolSource) Info() SessionInfo { return s.info }
 
-func (s *poolSource) Records(seg, batch int) [][]byte {
+func (s *poolSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	out := make([][]byte, 0, batch)
 	for i := 0; i < batch; i++ {
-		out = append(out, s.recs[seg][s.next[seg]%len(s.recs[seg])])
+		rec := s.recs[seg][s.next[seg]%len(s.recs[seg])]
+		// The server recycles every record it is handed: give it a copy.
+		out = append(out, append(alloc(len(rec))[:0], rec...))
 		s.next[seg]++
 	}
 	return out

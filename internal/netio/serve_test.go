@@ -370,13 +370,36 @@ func TestServeContextCancel(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ctx, l) }()
 
+	// The fetch must be provably mid-transfer when the plug is pulled: its
+	// record tap signals the first record, then holds the fetch until Serve
+	// has returned. net.Pipe does not buffer, so no later record can have
+	// been written — the fetch cannot complete once the server is gone, no
+	// matter how fast the codec.
+	firstRecord := make(chan struct{})
+	served := make(chan struct{})
+	var once, release sync.Once
+	releaseTap := func() { release.Do(func() { close(served) }) }
+	defer releaseTap() // a failed assertion must not strand the tap
+	conn := l.Dial()
+	f := NewFetcher(func(context.Context) (net.Conn, error) { return conn, nil },
+		WithMaxAttempts(1),
+		WithRecordTap(func(*rlnc.CodedBlock) {
+			once.Do(func() {
+				close(firstRecord)
+				<-served
+			})
+		}))
 	fetchDone := make(chan error, 1)
 	go func() {
-		_, _, err := Fetch(context.Background(), l.Dial())
+		defer conn.Close()
+		_, err := f.Fetch(context.Background())
 		fetchDone <- err
 	}()
-	// Let the session start moving, then pull the plug.
-	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-firstRecord:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch never received a record")
+	}
 	cancel()
 	select {
 	case err := <-serveDone:
@@ -386,6 +409,7 @@ func TestServeContextCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after cancel")
 	}
+	releaseTap()
 	select {
 	case err := <-fetchDone:
 		if err == nil {

@@ -107,10 +107,9 @@ type Server struct {
 // number of independent fan-out loops, and the per-shard counters make the
 // offered == sent + shed ledger checkable shard by shard.
 type pumpShard struct {
-	id     int
-	s      *Server
-	src    RecordSource
-	pooled bool // src allocates its frames from s.frames
+	id  int
+	s   *Server
+	src RecordSource
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -164,20 +163,15 @@ func NewServer(media []byte, p rlnc.Params, opts ...ServerOption) (*Server, erro
 		return nil, err
 	}
 	cfg = cfg.normalized(p.BlockCount)
-	pool := &framePool{}
 	srcs := make([]RecordSource, cfg.PumpShards)
-	pooled := make([]bool, cfg.PumpShards)
 	for i := range srcs {
 		penc, err := rlnc.NewParallelEncoder(rlnc.SharedPool().Workers(), rlnc.FullBlock)
 		if err != nil {
 			return nil, err
 		}
-		osrc := newObjectSource(obj, cfg.Mode, penc, shardSeed(cfg.Seed, i))
-		osrc.alloc = pool.allocBuf
-		srcs[i] = osrc
-		pooled[i] = true
+		srcs[i] = newObjectSource(obj, cfg.Mode, penc, shardSeed(cfg.Seed, i))
 	}
-	return newServer(srcs[0].Info(), cfg, pool, srcs, pooled)
+	return newServer(srcs[0].Info(), cfg, srcs)
 }
 
 // NewSourceServer builds a server over an arbitrary RecordSource: the
@@ -217,7 +211,7 @@ func NewSourceServer(src RecordSource, opts ...ServerOption) (*Server, error) {
 			}
 		}
 	}
-	return newServer(info, cfg, &framePool{}, srcs, make([]bool, cfg.PumpShards))
+	return newServer(info, cfg, srcs)
 }
 
 // buildServerConfig applies opts over the defaults and validates the result.
@@ -237,11 +231,11 @@ func shardSeed(seed int64, i int) int64 {
 	return seed + int64(i)*lane
 }
 
-func newServer(info SessionInfo, cfg serverConfig, pool *framePool, srcs []RecordSource, pooled []bool) (*Server, error) {
+func newServer(info SessionInfo, cfg serverConfig, srcs []RecordSource) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		info:      info,
-		frames:    pool,
+		frames:    &framePool{},
 		stop:      make(chan struct{}),
 		listeners: make(map[net.Listener]struct{}),
 	}
@@ -252,7 +246,6 @@ func newServer(info SessionInfo, cfg serverConfig, pool *framePool, srcs []Recor
 			id:       i,
 			s:        s,
 			src:      src,
-			pooled:   pooled[i],
 			sessions: make(map[*session]struct{}),
 			wake:     make(chan struct{}, 1),
 			consumed: make(chan struct{}, 1),
@@ -766,6 +759,7 @@ func (sh *pumpShard) run() {
 	segIdx := sh.id % segments // stagger shards across segments
 	live := make([]*session, 0, 16)
 	frames := make([]*frameRef, 0, s.cfg.EncodeBatch)
+	alloc := s.frames.allocBuf
 	for {
 		select {
 		case <-s.stop:
@@ -795,7 +789,7 @@ func (sh *pumpShard) run() {
 		seg := segIdx
 		round := stageRound.StartTraced(s.traceCtx(s.rootSpan.ID(), int32(seg)))
 		enc := stageEncode.StartTraced(s.traceCtx(round.ID(), int32(seg)))
-		recs := sh.src.Records(seg, s.cfg.EncodeBatch)
+		recs := sh.src.Records(seg, s.cfg.EncodeBatch, alloc)
 		segIdx = (segIdx + 1) % segments
 		if len(recs) == 0 {
 			// Nothing to say for this segment yet. Park briefly — this is
@@ -814,7 +808,7 @@ func (sh *pumpShard) run() {
 
 		frames = frames[:0]
 		for _, rec := range recs {
-			fr := s.frames.wrap(rec, sh.pooled)
+			fr := s.frames.wrap(rec)
 			fr.round = uint64(round.ID())
 			fr.seg = int32(seg)
 			frames = append(frames, fr)
@@ -916,42 +910,37 @@ func (sh *pumpShard) fanOut(frames []*frameRef, live []*session) bool {
 	return delivered
 }
 
-// frameRecord marshals a coded block with its length prefix.
+// frameRecord marshals a coded block as an XNC1 record with its length
+// prefix into one buffer from alloc (nil: plain make).
 func frameRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, error) {
-	body, err := b.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return frameBody(body, alloc), nil
+	return frameBlock(b, false, alloc)
 }
 
-// frameSystematicRecord marshals a coded block in the systematic session's
+// frameSystematicRecord frames a coded block in the systematic session's
 // per-block encoding: the compact XNC2 GF(2) format for binary blocks
 // (systematic sweep and XOR repair), XNC1 for the dense tail.
 func frameSystematicRecord(b *rlnc.CodedBlock, alloc func(int) []byte) ([]byte, error) {
-	var body []byte
-	var err error
-	if b.IsBinary() {
-		body, err = b.MarshalBinaryXor()
-	} else {
-		body, err = b.MarshalBinary()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return frameBody(body, alloc), nil
+	return frameBlock(b, b.IsBinary(), alloc)
 }
 
-// frameBody prefixes body with its length, writing into a buffer from alloc
-// (pooled for the server's own sources, plain make elsewhere).
-func frameBody(body []byte, alloc func(int) []byte) []byte {
-	if alloc == nil {
-		alloc = func(n int) []byte { return make([]byte, n) }
+// frameBlock writes the length prefix and marshals the body behind it in
+// one buffer, so each record is built exactly once, in place.
+func frameBlock(b *rlnc.CodedBlock, xor bool, alloc func(int) []byte) ([]byte, error) {
+	size := b.WireSize()
+	if xor {
+		size = rlnc.XorWireSize(b.Params())
 	}
-	rec := alloc(4 + len(body))
-	binary.BigEndian.PutUint32(rec, uint32(len(body)))
-	copy(rec[4:], body)
-	return rec
+	var rec []byte
+	if alloc != nil {
+		rec = alloc(4 + size)[:4]
+	} else {
+		rec = make([]byte, 4, 4+size)
+	}
+	binary.BigEndian.PutUint32(rec, uint32(size))
+	if xor {
+		return b.AppendBinaryXor(rec)
+	}
+	return b.AppendBinary(rec)
 }
 
 // Snapshot copies the server's aggregate counters, each shard's slice of

@@ -53,11 +53,14 @@ type RecordSource interface {
 	Info() SessionInfo
 
 	// Records returns up to batch framed records (length prefix included —
-	// use FrameRecord) for segment index seg. Returning fewer, or none, is
-	// allowed: a relay that has not yet accumulated rank for seg simply has
-	// nothing to say, and the pump backs off briefly instead of treating it
-	// as an error.
-	Records(seg, batch int) [][]byte
+	// use FrameRecordWith) for segment index seg, each in a buffer from
+	// alloc, the server's frame pool. The server owns every returned buffer
+	// and recycles it once the record's last write finishes, so a source
+	// must neither keep nor re-return one. Returning fewer records, or none,
+	// is allowed: a relay that has not yet accumulated rank for seg simply
+	// has nothing to say, and the pump backs off briefly instead of treating
+	// it as an error.
+	Records(seg, batch int, alloc func(int) []byte) [][]byte
 }
 
 // DegradableSource is a RecordSource with a cheaper degraded schedule the
@@ -97,10 +100,10 @@ type lockedSource struct {
 
 func (l *lockedSource) Info() SessionInfo { return l.src.Info() }
 
-func (l *lockedSource) Records(seg, batch int) [][]byte {
+func (l *lockedSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.src.Records(seg, batch)
+	return l.src.Records(seg, batch, alloc)
 }
 
 // SetLean forwards the brownout lever to the wrapped source when it has one;
@@ -120,10 +123,18 @@ func (l *lockedSource) SetLean(lean bool) {
 // RecordSource implementations outside this package (mesh relays) produce
 // bit-identical records.
 func FrameRecord(b *rlnc.CodedBlock, mode WireMode) ([]byte, error) {
+	return FrameRecordWith(b, mode, nil)
+}
+
+// FrameRecordWith is FrameRecord into a buffer from alloc (nil: plain make):
+// the length prefix and the marshaled block are written once, in place. A
+// RecordSource passes the alloc its Records call received, so its frames
+// come from, and return to, the server's frame pool.
+func FrameRecordWith(b *rlnc.CodedBlock, mode WireMode, alloc func(int) []byte) ([]byte, error) {
 	if mode == ModeSystematic {
-		return frameSystematicRecord(b, nil)
+		return frameSystematicRecord(b, alloc)
 	}
-	return frameRecord(b, nil)
+	return frameRecord(b, alloc)
 }
 
 // objectSource is the media-backed RecordSource behind NewServer: dense
@@ -134,15 +145,12 @@ type objectSource struct {
 	obj  *rlnc.Object
 	mode WireMode
 
-	// alloc supplies record buffers; the server points it at its frame pool
-	// so fan-out frames recycle instead of churning the GC. Nil means plain
-	// allocation.
-	alloc func(int) []byte
-
 	// Dense path: the shared parallel encoder plus a per-batch seed
-	// counter (each pump is single-goroutine, so plain increments suffice).
-	penc *rlnc.ParallelEncoder
-	seed int64
+	// counter (each pump is single-goroutine, so plain increments suffice),
+	// and the blocks every round is encoded into and framed out of.
+	penc   *rlnc.ParallelEncoder
+	seed   int64
+	blocks []*rlnc.CodedBlock
 
 	// Systematic path: one cycling schedule encoder per segment, plus the
 	// brownout lever: lean is flipped by the controller goroutine, observed
@@ -204,7 +212,7 @@ func (o *objectSource) Info() SessionInfo {
 	}
 }
 
-func (o *objectSource) Records(seg, batch int) [][]byte {
+func (o *objectSource) Records(seg, batch int, alloc func(int) []byte) [][]byte {
 	if o.mode == ModeSystematic {
 		// Systematic schedule: the per-segment encoder cycles sweep → XOR
 		// repair → dense tail; binary blocks go out in the compact GF(2)
@@ -214,7 +222,7 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 		se := o.sysEncs[seg]
 		recs := make([][]byte, 0, batch)
 		for i := 0; i < batch; i++ {
-			rec, err := frameSystematicRecord(se.Block(), o.alloc)
+			rec, err := frameSystematicRecord(se.Block(), alloc)
 			if err != nil {
 				continue
 			}
@@ -222,15 +230,16 @@ func (o *objectSource) Records(seg, batch int) [][]byte {
 		}
 		return recs
 	}
-	blocks, err := o.penc.Encode(o.obj.Segments[seg], batch, o.seed)
+	blocks, err := o.penc.EncodeReuse(o.blocks, o.obj.Segments[seg], batch, o.seed)
 	o.seed++
 	if err != nil {
 		// Unreachable for a validated object; drop the batch.
 		return nil
 	}
+	o.blocks = blocks
 	recs := make([][]byte, 0, len(blocks))
 	for _, blk := range blocks {
-		rec, err := frameRecord(blk, o.alloc)
+		rec, err := frameRecord(blk, alloc)
 		if err != nil {
 			continue
 		}

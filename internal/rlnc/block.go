@@ -76,19 +76,25 @@ func (b *CodedBlock) WireSize() int {
 
 // MarshalBinary encodes the block in the wire format above.
 func (b *CodedBlock) MarshalBinary() ([]byte, error) {
+	return b.AppendBinary(make([]byte, 0, b.WireSize()))
+}
+
+// AppendBinary appends the block's wire encoding to dst and returns the
+// extended slice (nil on error). Given WireSize bytes of spare capacity it
+// writes in place without allocating: the record path marshals each block
+// once, straight into its final (length-prefixed, pooled) frame buffer.
+func (b *CodedBlock) AppendBinary(dst []byte) ([]byte, error) {
 	if err := b.Params().Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]byte, b.WireSize())
-	copy(out, wireMagic)
-	binary.BigEndian.PutUint32(out[4:], b.SegmentID)
-	binary.BigEndian.PutUint32(out[8:], uint32(len(b.Coeffs)))
-	binary.BigEndian.PutUint32(out[12:], uint32(len(b.Payload)))
-	copy(out[wireHeaderLen:], b.Coeffs)
-	copy(out[wireHeaderLen+len(b.Coeffs):], b.Payload)
-	sum := crc32.ChecksumIEEE(out[:len(out)-wireTrailerLen])
-	binary.BigEndian.PutUint32(out[len(out)-wireTrailerLen:], sum)
-	return out, nil
+	start := len(dst)
+	dst = append(dst, wireMagic...)
+	dst = binary.BigEndian.AppendUint32(dst, b.SegmentID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Coeffs)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Payload)))
+	dst = append(dst, b.Coeffs...)
+	dst = append(dst, b.Payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
 // UnmarshalBinary decodes a block from the wire format, validating magic,

@@ -39,8 +39,12 @@ func NewEncoder(seg *Segment, rng *rand.Rand, opts ...EncoderOption) *Encoder {
 
 // NextCoeffs draws a fresh coefficient vector.
 func (e *Encoder) NextCoeffs() []byte {
-	n := e.seg.params.BlockCount
-	coeffs := make([]byte, n)
+	return e.nextCoeffsInto(make([]byte, e.seg.params.BlockCount))
+}
+
+// nextCoeffsInto draws the next coefficient vector into coeffs (BlockCount
+// bytes) and returns it.
+func (e *Encoder) nextCoeffsInto(coeffs []byte) []byte {
 	for {
 		nonZero := false
 		for i := range coeffs {
@@ -121,6 +125,13 @@ type Recoder struct {
 	// recombinations through the XOR kernels: binary coefficients, no
 	// table multiplies.
 	xorRecode bool
+
+	// Per-emission scratch, reused so EmitInto allocates nothing: the drawn
+	// recombination (mix, or sel under xorRecode) and the coefficient and
+	// payload rows it combines.
+	mix          []byte
+	sel          []bool
+	crows, prows [][]byte
 }
 
 // NewRecoder returns a recoder for the given configuration. WithSeed gives
@@ -203,10 +214,23 @@ func (r *Recoder) Rank() int { return r.rank }
 // off until input arrives) and with ErrNoSeed when the recoder was built
 // without one. Both failures leave the recoder unchanged and usable.
 func (r *Recoder) Emit() (*CodedBlock, error) {
-	if r.rng == nil {
-		return nil, fmt.Errorf("%w: build the recoder with WithSeed or call NextBlock", ErrNoSeed)
+	out := &CodedBlock{}
+	if err := r.EmitInto(out); err != nil {
+		return nil, err
 	}
-	return r.NextBlock(r.rng)
+	return out, nil
+}
+
+// EmitInto is the non-allocating Emit: it writes the next recombination
+// into out, reusing out's Coeffs and Payload storage (grown only when too
+// small). A relay pump emits every block into one CodedBlock and marshals
+// it before the next call, so recoding costs no per-block garbage. Given
+// the same random source it emits exactly the blocks Emit would.
+func (r *Recoder) EmitInto(out *CodedBlock) error {
+	if r.rng == nil {
+		return fmt.Errorf("%w: build the recoder with WithSeed or call NextBlock", ErrNoSeed)
+	}
+	return r.emitInto(out, r.rng)
 }
 
 // NextBlock emits a random linear recombination of everything received.
@@ -216,53 +240,70 @@ func (r *Recoder) Emit() (*CodedBlock, error) {
 // block for the original source, so a relay can start serving after its
 // very first upstream record.
 func (r *Recoder) NextBlock(rng *rand.Rand) (*CodedBlock, error) {
+	out := &CodedBlock{}
+	if err := r.emitInto(out, rng); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// emitInto draws one recombination from rng and writes it into out.
+func (r *Recoder) emitInto(out *CodedBlock, rng *rand.Rand) error {
 	if len(r.received) == 0 {
-		return nil, fmt.Errorf("%w: recoder received nothing", ErrNoBlocks)
+		return fmt.Errorf("%w: recoder received nothing", ErrNoBlocks)
 	}
-	out := &CodedBlock{
-		SegmentID: r.segID,
-		Coeffs:    make([]byte, r.params.BlockCount),
-		Payload:   make([]byte, r.params.BlockSize),
-	}
+	out.SegmentID = r.segID
+	out.Coeffs = resize(out.Coeffs, r.params.BlockCount)
+	out.Payload = resize(out.Payload, r.params.BlockSize)
 	if r.xorRecode {
 		// GF(2) discipline: each input is either folded in whole (XOR) or
 		// skipped. The selector is redrawn until non-zero, so the emission
 		// is never the zero vector; the ops are the wide-word XOR kernels —
 		// no multiply tables touched.
+		sel := r.sel
 		for {
 			any := false
-			cs := make([]bool, len(r.received))
-			for i := range cs {
-				if rng.Intn(2) == 1 {
-					cs[i] = true
-					any = true
-				}
+			sel = sel[:0]
+			for range r.received {
+				pick := rng.Intn(2) == 1
+				sel = append(sel, pick)
+				any = any || pick
 			}
-			if !any {
-				continue
+			if any {
+				break
 			}
-			for i, in := range r.received {
-				if !cs[i] {
-					continue
-				}
+		}
+		r.sel = sel
+		clear(out.Coeffs)
+		clear(out.Payload)
+		for i, in := range r.received {
+			if sel[i] {
 				gf256.XorSlice(out.Coeffs, in.Coeffs)
 				gf256.XorSlice(out.Payload, in.Payload)
 			}
-			return out, nil
 		}
+		return nil
 	}
 	// Draw the recombination coefficients first, then apply them through the
 	// fused dot-product kernel: both the coefficient and payload rows are
 	// consumed four sources per destination pass.
-	cs := make([]byte, len(r.received))
-	crows := make([][]byte, len(r.received))
-	prows := make([][]byte, len(r.received))
-	for i, in := range r.received {
-		cs[i] = byte(1 + rng.Intn(255))
-		crows[i] = in.Coeffs
-		prows[i] = in.Payload
+	cs, crows, prows := r.mix[:0], r.crows[:0], r.prows[:0]
+	for _, in := range r.received {
+		cs = append(cs, byte(1+rng.Intn(255)))
+		crows = append(crows, in.Coeffs)
+		prows = append(prows, in.Payload)
 	}
+	r.mix, r.crows, r.prows = cs, crows, prows
 	gf256.DotProduct(out.Coeffs, cs, crows)
 	gf256.DotProduct(out.Payload, cs, prows)
-	return out, nil
+	return nil
+}
+
+// resize returns b resliced to n bytes, reallocated only when its capacity
+// is short. The contents are unspecified.
+func resize(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
 }

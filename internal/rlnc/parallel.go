@@ -59,6 +59,16 @@ func NewParallelEncoder(workers int, mode EncodeMode) (*ParallelEncoder, error) 
 // Encode produces count coded blocks from seg using coefficients drawn from
 // a rand source seeded with seed.
 func (pe *ParallelEncoder) Encode(seg *Segment, count int, seed int64) ([]*CodedBlock, error) {
+	return pe.EncodeReuse(nil, seg, count, seed)
+}
+
+// EncodeReuse is Encode into reusable storage: the blocks of reuse are
+// overwritten in place, keeping their Coeffs and Payload buffers, and only
+// missing blocks are allocated. It returns count blocks that share reuse's
+// storage — a serving pump frames each round's blocks before the next call,
+// so it encodes every round into the same memory. The blocks match
+// Encode's for the same seed.
+func (pe *ParallelEncoder) EncodeReuse(reuse []*CodedBlock, seg *Segment, count int, seed int64) ([]*CodedBlock, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrBlockCountInvalid, count)
 	}
@@ -69,13 +79,18 @@ func (pe *ParallelEncoder) Encode(seg *Segment, count int, seed int64) ([]*Coded
 	p := seg.Params()
 	rng := rand.New(rand.NewSource(seed))
 	enc := NewEncoder(seg, rng)
-	blocks := make([]*CodedBlock, count)
-	for i := range blocks {
-		blocks[i] = &CodedBlock{
-			SegmentID: seg.ID(),
-			Coeffs:    enc.NextCoeffs(),
-			Payload:   make([]byte, p.BlockSize),
+	blocks := reuse[:0]
+	for i := 0; i < count; i++ {
+		var b *CodedBlock
+		if i < len(reuse) {
+			b = reuse[i]
+		} else {
+			b = new(CodedBlock)
 		}
+		b.SegmentID = seg.ID()
+		b.Coeffs = enc.nextCoeffsInto(resize(b.Coeffs, p.BlockCount))
+		b.Payload = resize(b.Payload, p.BlockSize) // encodeBatchRange clears it
+		blocks = append(blocks, b)
 	}
 
 	switch pe.mode {

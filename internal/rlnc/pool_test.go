@@ -135,3 +135,46 @@ func TestParallelEncoderReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelEncoderEncodeReuse: encoding into the previous round's blocks
+// yields exactly Encode's blocks for each seed, in the same storage, for a
+// batch that shrinks and then grows again.
+func TestParallelEncoderEncodeReuse(t *testing.T) {
+	p := Params{BlockCount: 16, BlockSize: 200}
+	rng := rand.New(rand.NewSource(23))
+	data := make([]byte, p.SegmentSize())
+	rng.Read(data)
+	seg, err := SegmentFromData(4, p, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []EncodeMode{FullBlock, PartitionedBlock} {
+		pe, err := NewParallelEncoder(3, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reuse []*CodedBlock
+		for round, count := range []int{9, 9, 4, 12} {
+			want, err := pe.Encode(seg, count, int64(round))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pe.EncodeReuse(reuse, seg, count, int64(round))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != count {
+				t.Fatalf("%v round %d: %d blocks, want %d", mode, round, len(got), count)
+			}
+			for i := range got {
+				if got[i].SegmentID != want[i].SegmentID || !bytes.Equal(got[i].Coeffs, want[i].Coeffs) || !bytes.Equal(got[i].Payload, want[i].Payload) {
+					t.Fatalf("%v round %d: block %d differs from Encode", mode, round, i)
+				}
+				if i < len(reuse) && (got[i] != reuse[i] || &got[i].Payload[0] != &reuse[i].Payload[0]) {
+					t.Fatalf("%v round %d: block %d not encoded into the reused storage", mode, round, i)
+				}
+			}
+			reuse = got
+		}
+	}
+}

@@ -458,3 +458,58 @@ func FuzzRecoder(f *testing.F) {
 		}
 	})
 }
+
+// TestRecoderEmitIntoMatchesEmit: the non-allocating emit draws the same
+// recombinations as Emit from the same seed, dense and XOR-only, into one
+// reused block — and allocates nothing once that block has its storage.
+func TestRecoderEmitIntoMatchesEmit(t *testing.T) {
+	p := Params{BlockCount: 16, BlockSize: 200}
+	seg := randomSegment(t, 4, p, 111)
+	for _, xor := range []bool{false, true} {
+		opts := []Option{WithSeed(112)}
+		if xor {
+			opts = append(opts, WithXorRecode())
+		}
+		a, err := NewRecoder(p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewRecoder(p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := NewSystematicEncoder(seg, rand.New(rand.NewSource(113)))
+		for i := 0; i < p.BlockCount; i++ {
+			blk := sys.Block()
+			if err := a.Add(blk); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Add(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out CodedBlock
+		for i := 0; i < 50; i++ {
+			want, err := a.Emit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.EmitInto(&out); err != nil {
+				t.Fatal(err)
+			}
+			if out.SegmentID != want.SegmentID || !bytes.Equal(out.Coeffs, want.Coeffs) || !bytes.Equal(out.Payload, want.Payload) {
+				t.Fatalf("xor=%v emission %d: EmitInto differs from Emit", xor, i)
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { b.EmitInto(&out) }); n != 0 {
+			t.Fatalf("xor=%v: EmitInto allocates %v times per emission", xor, n)
+		}
+	}
+	unseeded, err := NewRecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := unseeded.EmitInto(&CodedBlock{}); !errors.Is(err, ErrNoSeed) {
+		t.Fatalf("unseeded EmitInto = %v, want ErrNoSeed", err)
+	}
+}

@@ -64,6 +64,14 @@ func (b *CodedBlock) IsBinary() bool {
 // fails with ErrNotBinary when any coefficient exceeds 1 — the caller
 // chooses the encoding per block (see netio's systematic mode).
 func (b *CodedBlock) MarshalBinaryXor() ([]byte, error) {
+	return b.AppendBinaryXor(make([]byte, 0, XorWireSize(b.Params())))
+}
+
+// AppendBinaryXor appends the block's GF(2) wire encoding to dst and returns
+// the extended slice; like AppendBinary it writes in place given
+// XorWireSize bytes of spare capacity. It fails with ErrNotBinary when any
+// coefficient exceeds 1.
+func (b *CodedBlock) AppendBinaryXor(dst []byte) ([]byte, error) {
 	if err := b.Params().Validate(); err != nil {
 		return nil, err
 	}
@@ -71,22 +79,20 @@ func (b *CodedBlock) MarshalBinaryXor() ([]byte, error) {
 		return nil, ErrNotBinary
 	}
 	n := len(b.Coeffs)
-	m := BitmaskLen(n)
-	out := make([]byte, XorWireSize(b.Params()))
-	copy(out, xorWireMagic)
-	binary.BigEndian.PutUint32(out[4:], b.SegmentID)
-	binary.BigEndian.PutUint32(out[8:], uint32(n))
-	binary.BigEndian.PutUint32(out[12:], uint32(len(b.Payload)))
-	mask := out[wireHeaderLen : wireHeaderLen+m]
-	for i, c := range b.Coeffs {
-		if c != 0 {
-			mask[i/8] |= 1 << (i % 8)
+	start := len(dst)
+	dst = append(dst, xorWireMagic...)
+	dst = binary.BigEndian.AppendUint32(dst, b.SegmentID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b.Payload)))
+	for i := 0; i < n; i += 8 {
+		var mask byte
+		for j, c := range b.Coeffs[i:min(i+8, n)] {
+			mask |= c << j // c is 0 or 1
 		}
+		dst = append(dst, mask)
 	}
-	copy(out[wireHeaderLen+m:], b.Payload)
-	sum := crc32.ChecksumIEEE(out[:len(out)-wireTrailerLen])
-	binary.BigEndian.PutUint32(out[len(out)-wireTrailerLen:], sum)
-	return out, nil
+	dst = append(dst, b.Payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:])), nil
 }
 
 // UnmarshalBinaryXor decodes a GF(2) coded block, validating magic, lengths,
