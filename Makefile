@@ -6,7 +6,7 @@ GO ?= go
 # gf256 kernels, decode pipelines) plus everything that moves blocks across
 # goroutines. One list, shared by `vet`'s quick pass and the `race` target,
 # and mirrored by the CI workflow.
-RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ .
+RACE_PKGS = ./internal/gf256/ ./internal/rlnc/ ./internal/netio/ ./internal/core/ ./internal/stream/ ./internal/obs/ ./internal/obs/trace/ ./internal/gate/ .
 
 .PHONY: all build fmt-check vet test portable perfbench-check race fuzz-regress chaos staticcheck serve-smoke metrics-smoke xor-smoke mesh-smoke load-smoke drain-chaos soak-smoke trace-smoke stress loadtest bench bench-host bench-smoke bench-check ci figures figures-csv examples clean
 
@@ -139,13 +139,13 @@ load-smoke:
 trace-smoke:
 	$(GO) run -race ./cmd/nctrace -smoke
 
-# Flake hunt, kept out of `ci` because it is slow: the netio, mesh and
-# command test suites twenty times over under the race detector, then the
+# Flake hunt, kept out of `ci` because it is slow: the netio, mesh, gate-kit
+# and command test suites twenty times over under the race detector, then the
 # chaos soak five runs in a row. Any single failure fails the target. The
 # timeout is per package: twenty race-built ncstream engine runs alone take
 # over ten minutes on a 2-vCPU host.
 stress:
-	$(GO) test -race -count=20 -timeout 40m ./internal/netio/ ./internal/mesh/ ./cmd/...
+	$(GO) test -race -count=20 -timeout 40m ./internal/netio/ ./internal/mesh/ ./internal/gate/ ./cmd/...
 	for i in 1 2 3 4 5; do $(MAKE) soak-smoke || exit 1; done
 
 # Full serving-capacity ladder, committed as BENCH_serve.json: ramped waves

@@ -25,22 +25,21 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gate"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
 	"extremenc/internal/rlnc"
@@ -160,14 +159,7 @@ func run(args []string, out io.Writer) error {
 		sum.Error = runErr.Error()
 	}
 	if *summary != "" {
-		b, err := json.MarshalIndent(sum, "", " ")
-		if err != nil {
-			return fmt.Errorf("%w (summary: %v)", runErr, err)
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*summary, b, 0o644); err != nil {
-			return fmt.Errorf("%w (summary: %v)", runErr, err)
-		}
+		runErr = errors.Join(runErr, gate.WriteJSON(*summary, sum))
 	}
 	return runErr
 }
@@ -293,7 +285,7 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	p := rlnc.Params{BlockCount: opt.blockCount, BlockSize: opt.blockSize}
 	media := makeMedia(opt.segments*p.SegmentSize()-13, opt.seed)
 
-	srv, err := netio.NewServer(media, p,
+	srv, addr, stop, err := gate.Serve(media, p,
 		netio.WithQueueDepth(opt.queueDepth),
 		netio.WithServerSeed(opt.seed),
 		// Measurement clients drain at full speed, but the deepest waves
@@ -309,85 +301,21 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	if err != nil {
 		return res, err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	defer stop()
+
+	// Ramp the raw fleet in chunks; every session drains records at wire
+	// speed until closed.
+	fleet, err := gate.RampFleet(addr, wave.sessions, opt.rampChunk, 0)
 	if err != nil {
 		return res, err
 	}
-	serveCtx, stopServe := context.WithCancel(context.Background())
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); srv.Serve(serveCtx, l) }()
-	defer func() {
-		srv.Shutdown()
-		stopServe()
-		l.Close()
-		<-serveDone
-	}()
-	addr := l.Addr().String()
-
-	// Ramp the raw fleet in chunks: each session dials, handshakes, and then
-	// drains records at wire speed until closed. Chunked dialing paces the
-	// accept queue, and waiting on each chunk's handshakes is the natural
-	// ramp throttle: later chunks join while earlier sessions are already
-	// being served, so deep waves ramp slowly but arrive at a steady state.
-	var (
-		fleetMu sync.Mutex
-		fleet   []*netio.RawClient
-		drain   sync.WaitGroup
-	)
-	defer func() {
-		fleetMu.Lock()
-		for _, rc := range fleet {
-			rc.Close()
-		}
-		fleetMu.Unlock()
-		drain.Wait()
-	}()
-	for off := 0; off < wave.sessions; off += opt.rampChunk {
-		n := min(opt.rampChunk, wave.sessions-off)
-		errc := make(chan error, n)
-		var chunk sync.WaitGroup
-		for i := 0; i < n; i++ {
-			chunk.Add(1)
-			go func() {
-				defer chunk.Done()
-				conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-				if err != nil {
-					errc <- err
-					return
-				}
-				rc, err := netio.NewRawClient(conn)
-				if err != nil {
-					errc <- err
-					return
-				}
-				fleetMu.Lock()
-				fleet = append(fleet, rc)
-				fleetMu.Unlock()
-				drain.Add(1)
-				go func() {
-					defer drain.Done()
-					for {
-						if _, err := rc.Next(); err != nil {
-							return
-						}
-					}
-				}()
-			}()
-		}
-		chunk.Wait()
-		close(errc)
-		for err := range errc {
-			return res, fmt.Errorf("ramp: %w", err)
-		}
-	}
-	for deadline := time.Now().Add(5 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
-		if srv.Snapshot().Sessions >= wave.sessions {
-			break
-		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("only %d of %d sessions registered after ramp",
-				srv.Snapshot().Sessions, wave.sessions)
-		}
+	defer fleet.Close()
+	err = gate.Poll(context.Background(), 5*time.Minute, 10*time.Millisecond, func() bool {
+		return srv.Snapshot().Sessions >= wave.sessions
+	})
+	if err != nil {
+		return res, fmt.Errorf("only %d of %d sessions registered after ramp: %w",
+			srv.Snapshot().Sessions, wave.sessions, err)
 	}
 
 	// Canary fetchers: full decoding sessions riding the same load, each
@@ -396,10 +324,7 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 	canaryCtx, cancelCanaries := context.WithTimeout(context.Background(),
 		opt.settle+opt.window+2*time.Minute)
 	defer cancelCanaries()
-	dial := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
+	dial := netio.DialAddr(addr)
 	if opt.chaos {
 		dial, _ = faultnet.Dialer(faultnet.Config{
 			Seed:         opt.seed,
@@ -445,23 +370,15 @@ func runWave(wave waveCfg, opt options) (waveResult, error) {
 
 	// Teardown, then the exactness gates: the fleet hangs up, the server
 	// drains, and the ledger must balance per shard and in aggregate.
-	fleetMu.Lock()
-	for _, rc := range fleet {
-		rc.Close()
-	}
-	fleet = nil
-	fleetMu.Unlock()
-	drain.Wait()
+	fleet.Close()
 	srv.Shutdown()
 	final := srv.Snapshot()
-	if final.BlocksOffered != final.BlocksSent+final.BlocksShed {
-		return res, fmt.Errorf("aggregate ledger: offered %d != sent %d + shed %d",
-			final.BlocksOffered, final.BlocksSent, final.BlocksShed)
+	if err := gate.Ledger("aggregate", final.CounterView); err != nil {
+		return res, err
 	}
 	for _, sh := range final.Shards {
-		if !sh.Consistent() {
-			return res, fmt.Errorf("shard %d ledger: offered %d != sent %d + shed %d",
-				sh.Shard, sh.BlocksOffered, sh.BlocksSent, sh.BlocksShed)
+		if err := gate.Ledger(fmt.Sprintf("shard %d", sh.Shard), sh.CounterView); err != nil {
+			return res, err
 		}
 	}
 
@@ -491,30 +408,18 @@ func smokeGates(reg *obs.Registry, wave waveCfg, window obs.HistogramView, maxP9
 	if window.P99 > maxP99 {
 		return fmt.Errorf("windowed p99 record latency %v exceeds gate %v", window.P99, maxP99)
 	}
-	var sb bytes.Buffer
-	if err := reg.WriteText(&sb); err != nil {
-		return err
-	}
-	samples, err := obs.ParseText(bytes.NewReader(sb.Bytes()))
+	vals, err := reg.Scrape()
 	if err != nil {
 		return err
 	}
-	vals := map[string]float64{}
-	for _, s := range samples {
-		if len(s.Labels) == 0 {
-			vals[s.Key()] = s.Value
-		}
+	if err := gate.ScrapedLedger(vals, "netio"); err != nil {
+		return err
 	}
-	for _, key := range []string{"netio_blocks_offered", "netio_blocks_sent", "netio_blocks_shed", "netio_pump_shards"} {
-		if _, ok := vals[key]; !ok {
-			return fmt.Errorf("%s missing from the scraped exposition", key)
-		}
+	shards, ok := vals["netio_pump_shards"]
+	if !ok {
+		return fmt.Errorf("netio_pump_shards missing from the scraped exposition")
 	}
-	if vals["netio_blocks_offered"] != vals["netio_blocks_sent"]+vals["netio_blocks_shed"] {
-		return fmt.Errorf("scraped ledger: offered %.0f != sent %.0f + shed %.0f",
-			vals["netio_blocks_offered"], vals["netio_blocks_sent"], vals["netio_blocks_shed"])
-	}
-	if got := int(vals["netio_pump_shards"]); got != wave.shards {
+	if got := int(shards); got != wave.shards {
 		return fmt.Errorf("scraped netio_pump_shards = %d, want %d", got, wave.shards)
 	}
 	return nil
@@ -542,7 +447,7 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	media := makeMedia(opt.segments*p.SegmentSize()-13, opt.seed)
 
 	var transitions int
-	srv, err := netio.NewServer(media, p,
+	srv, addr, stop, err := gate.Serve(media, p,
 		// A shallow queue and wide write deadlines: slow readers must
 		// saturate the queues (occupancy and pump stalls are the pressure
 		// signal), not be evicted as hostile peers.
@@ -565,93 +470,27 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveCtx, stopServe := context.WithCancel(context.Background())
-	serveDone := make(chan struct{})
-	go func() { defer close(serveDone); srv.Serve(serveCtx, l) }()
-	defer func() {
-		srv.Shutdown()
-		stopServe()
-		l.Close()
-		<-serveDone
-	}()
-	addr := l.Addr().String()
+	defer stop()
 
 	// The overload: every session reads one record then naps, so the queues
 	// stay pinned full no matter how fast the pumps produce.
 	lg.Printf("brownout wave: ramping %d slow readers", fleetSize)
-	var (
-		fleetMu sync.Mutex
-		fleet   []*netio.RawClient
-		drain   sync.WaitGroup
-	)
-	closeFleet := func() {
-		fleetMu.Lock()
-		for _, rc := range fleet {
-			rc.Close()
-		}
-		fleet = nil
-		fleetMu.Unlock()
-		drain.Wait()
+	fleet, err := gate.RampFleet(addr, fleetSize, opt.rampChunk, 5*time.Millisecond)
+	if err != nil {
+		return err
 	}
-	defer closeFleet()
-	for off := 0; off < fleetSize; off += opt.rampChunk {
-		n := min(opt.rampChunk, fleetSize-off)
-		errc := make(chan error, n)
-		var chunk sync.WaitGroup
-		for i := 0; i < n; i++ {
-			chunk.Add(1)
-			go func() {
-				defer chunk.Done()
-				conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-				if err != nil {
-					errc <- err
-					return
-				}
-				rc, err := netio.NewRawClient(conn)
-				if err != nil {
-					errc <- err
-					return
-				}
-				fleetMu.Lock()
-				fleet = append(fleet, rc)
-				fleetMu.Unlock()
-				drain.Add(1)
-				go func() {
-					defer drain.Done()
-					for {
-						if _, err := rc.Next(); err != nil {
-							return
-						}
-						time.Sleep(5 * time.Millisecond)
-					}
-				}()
-			}()
-		}
-		chunk.Wait()
-		close(errc)
-		for err := range errc {
-			return fmt.Errorf("ramp: %w", err)
-		}
-	}
+	defer fleet.Close()
 
 	// Gate 1: the ladder engages under sustained pressure.
 	engageStart := time.Now()
 	peak := netio.BrownoutOff
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
-		if r := srv.Rung(); r > peak {
-			peak = r
-		}
-		if peak > netio.BrownoutOff {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ladder never engaged under %d slow readers (snapshot %+v)",
-				fleetSize, srv.Snapshot().CounterView)
-		}
+	err = gate.Poll(context.Background(), time.Minute, 5*time.Millisecond, func() bool {
+		peak = max(peak, srv.Rung())
+		return peak > netio.BrownoutOff
+	})
+	if err != nil {
+		return fmt.Errorf("ladder never engaged under %d slow readers (snapshot %+v): %w",
+			fleetSize, srv.Snapshot().CounterView, err)
 	}
 	lg.Printf("ladder engaged (rung %s) %v after ramp", srv.Rung(), time.Since(engageStart).Round(time.Millisecond))
 	sum.Invariants["ladder_engaged"] = true
@@ -661,10 +500,7 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	// regardless.
 	canaryCtx, cancelCanaries := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancelCanaries()
-	dial := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
+	dial := netio.DialAddr(addr)
 	type canaryResult struct {
 		err  error
 		busy int
@@ -697,14 +533,12 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	closeFleet()
+	fleet.Close()
 
 	// Gate 2: with the pressure lifted the ladder steps all the way back.
 	releaseStart := time.Now()
-	for deadline := time.Now().Add(time.Minute); srv.Rung() != netio.BrownoutOff; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ladder never stepped back down after release (rung %s)", srv.Rung())
-		}
+	if err := pollOff(srv); err != nil {
+		return fmt.Errorf("ladder never stepped back down after release (rung %s): %w", srv.Rung(), err)
 	}
 	recovery := time.Since(releaseStart)
 	lg.Printf("ladder back to off %v after release", recovery.Round(time.Millisecond))
@@ -724,19 +558,16 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	// The canaries are load too — with shallow queues their own decode churn
 	// can tick the ladder back up — so wait for the controller to settle at
 	// off again now that every client is gone before freezing the snapshot.
-	for deadline := time.Now().Add(time.Minute); srv.Rung() != netio.BrownoutOff; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("ladder never settled at off after the canaries (rung %s)", srv.Rung())
-		}
+	if err := pollOff(srv); err != nil {
+		return fmt.Errorf("ladder never settled at off after the canaries (rung %s): %w", srv.Rung(), err)
 	}
 
 	// Gate 4: exactness after teardown, scraped from the snapshot the
 	// controller was driving.
 	srv.Shutdown()
 	final := srv.Snapshot()
-	if !final.Consistent() {
-		return fmt.Errorf("ledger after brownout wave: offered %d != sent %d + shed %d",
-			final.BlocksOffered, final.BlocksSent, final.BlocksShed)
+	if err := gate.Ledger("brownout wave", final.CounterView); err != nil {
+		return err
 	}
 	if final.BrownoutTransitions < 2 || transitions < 2 {
 		return fmt.Errorf("only %d ladder transitions observed (callback saw %d), want >= 2",
@@ -755,4 +586,11 @@ func runBrownoutWave(opt options, out io.Writer, lg *log.Logger, sum *loadSummar
 	fmt.Fprintf(out, "BenchmarkServeBrownout/sessions=%d \t%8d\t%12d peak-rung\t%12d transitions\t%12d recover-ns\t%8d busy\n",
 		fleetSize, 1, int(peak), final.BrownoutTransitions, recovery.Nanoseconds(), busyTotal)
 	return nil
+}
+
+// pollOff waits up to a minute for srv's brownout ladder to sit at off.
+func pollOff(srv *netio.Server) error {
+	return gate.Poll(context.Background(), time.Minute, 5*time.Millisecond, func() bool {
+		return srv.Rung() == netio.BrownoutOff
+	})
 }

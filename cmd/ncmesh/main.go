@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -190,14 +189,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	elapsed := time.Since(start)
 
+	if err := m.VerifyLeaves(); err != nil {
+		return err
+	}
 	for _, leaf := range m.Leaves() {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
 		fmt.Fprintf(stdout, "leaf %d ok: %d records, %d reconnects, %d redirects, %v\n",
 			leaf.ID, leaf.Records(), leaf.Reconnects(), leaf.Redirector().Redirects(), leaf.Duration())
 	}

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gate"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
 	"extremenc/internal/obs/trace"
@@ -357,10 +358,7 @@ func runFetch(args []string) error {
 			return err
 		}
 	}
-	f := netio.NewFetcher(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", *addr)
-	}, opts...)
+	f := netio.NewFetcher(netio.DialAddr(*addr), opts...)
 	res, err := f.Fetch(ctx)
 	stats := res.Stats
 	if err != nil {
@@ -421,16 +419,11 @@ func runSmoke(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: sf.n, BlockSize: sf.k}, opts...)
+	srv, addr, stop, err := gate.Serve(media, rlnc.Params{BlockCount: sf.n, BlockSize: sf.k}, opts...)
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, l) }()
+	defer stop()
 
 	var wg sync.WaitGroup
 	errs := make([]error, *clients)
@@ -438,7 +431,7 @@ func runSmoke(args []string) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", l.Addr().String())
+			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				errs[i] = err
 				return
@@ -459,15 +452,12 @@ func runSmoke(args []string) error {
 			return err
 		}
 	}
-	srv.Shutdown()
-	l.Close()
-	<-serveDone
+	stop()
 
 	snap := srv.Snapshot()
 	// All sessions have ended, so the strict ledger equality must hold.
-	if !snap.Consistent() {
-		return fmt.Errorf("accounting mismatch: offered %d != sent %d + shed %d",
-			snap.BlocksOffered, snap.BlocksSent, snap.BlocksShed)
+	if err := gate.Ledger("server", snap.CounterView); err != nil {
+		return err
 	}
 	if snap.SessionsTotal != int64(*clients) {
 		return fmt.Errorf("sessions_total = %d, want %d", snap.SessionsTotal, *clients)
@@ -503,17 +493,12 @@ func runMetricsSmoke(args []string) error {
 
 	media := make([]byte, *size)
 	rand.New(rand.NewSource(43)).Read(media)
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: 16, BlockSize: 1024},
+	srv, addr, stop, err := gate.Serve(media, rlnc.Params{BlockCount: 16, BlockSize: 1024},
 		netio.WithMetricsRegistry(reg))
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, l) }()
+	defer stop()
 
 	ml, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -524,10 +509,7 @@ func runMetricsSmoke(args []string) error {
 		return snapshotJSON(srv.Snapshot())
 	}))
 
-	f := netio.NewFetcher(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	}, netio.WithMetrics(reg))
+	f := netio.NewFetcher(netio.DialAddr(addr), netio.WithMetrics(reg))
 	res, err := f.Fetch(ctx)
 	if err != nil {
 		return fmt.Errorf("loopback fetch: %w", err)
@@ -535,18 +517,12 @@ func runMetricsSmoke(args []string) error {
 	if !bytes.Equal(res.Payload, media) {
 		return fmt.Errorf("loopback fetch: payload differs")
 	}
-	srv.Shutdown()
-	l.Close()
-	<-serveDone
+	stop()
 
 	base := "http://" + ml.Addr().String()
-	samples, err := scrapeMetrics(ctx, base+"/metrics")
+	byKey, err := scrapeMetrics(ctx, base+"/metrics")
 	if err != nil {
 		return err
-	}
-	byKey := map[string]float64{}
-	for _, s := range samples {
-		byKey[s.Key()] = s.Value
 	}
 	for _, series := range []string{
 		"netio_blocks_encoded", "netio_blocks_sent", "netio_bytes_sent",
@@ -590,7 +566,7 @@ func runMetricsSmoke(args []string) error {
 		return err
 	}
 	fmt.Printf("metrics-smoke ok: %d series scraped, %d populated histograms, blocks sent %.0f, fetch records %.0f\n",
-		len(samples), histograms, byKey["netio_blocks_sent"], byKey["fetch_records"])
+		len(byKey), histograms, byKey["netio_blocks_sent"], byKey["fetch_records"])
 	return nil
 }
 
@@ -616,23 +592,15 @@ func runXorSmoke(args []string) error {
 
 	media := make([]byte, *size)
 	rand.New(rand.NewSource(44)).Read(media)
-	srv, err := netio.NewServer(media, rlnc.Params{BlockCount: 16, BlockSize: 1024},
+	srv, addr, stop, err := gate.Serve(media, rlnc.Params{BlockCount: 16, BlockSize: 1024},
 		netio.WithWireMode(netio.ModeSystematic), netio.WithMetricsRegistry(reg))
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ctx, l) }()
+	defer stop()
 
 	// Leg 1: clean loopback — the systematic sweep should dominate.
-	clean := netio.NewFetcher(func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	clean := netio.NewFetcher(netio.DialAddr(addr))
 	res, err := clean.Fetch(ctx)
 	if err != nil {
 		return fmt.Errorf("clean systematic fetch: %w", err)
@@ -651,10 +619,7 @@ func runXorSmoke(args []string) error {
 		CorruptEvery: 4000,
 		ResetEvery:   60000,
 		MaxReadChunk: 512,
-	}, func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	}, netio.DialAddr(addr))
 	lossy := netio.NewFetcher(dial, netio.WithBackoff(time.Millisecond, 20*time.Millisecond))
 	lres, err := lossy.Fetch(ctx)
 	if err != nil {
@@ -663,9 +628,7 @@ func runXorSmoke(args []string) error {
 	if !bytes.Equal(lres.Payload, media) {
 		return fmt.Errorf("lossy systematic fetch: payload differs")
 	}
-	srv.Shutdown()
-	l.Close()
-	<-serveDone
+	stop()
 
 	// The proof obligation: the GF(2) fast path must have absorbed records.
 	v, ok := reg.HistogramView("rlnc.xor_absorb")
@@ -674,21 +637,11 @@ func runXorSmoke(args []string) error {
 	}
 	// And it must survive the text exposition round trip, where the CI
 	// scrape reads it.
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		return err
-	}
-	samples, err := obs.ParseText(strings.NewReader(sb.String()))
+	vals, err := reg.Scrape()
 	if err != nil {
 		return err
 	}
-	count := 0.0
-	for _, s := range samples {
-		if s.Key() == "rlnc_xor_absorb_count" {
-			count = s.Value
-		}
-	}
-	if count <= 0 {
+	if count := vals["rlnc_xor_absorb_count"]; count <= 0 {
 		return fmt.Errorf("scrape: rlnc_xor_absorb_count = %v, want > 0", count)
 	}
 	fmt.Printf("xor-smoke ok: mode %s, %d xor absorbs, clean %d records, lossy %d records (%d corrupt, %d resyncs, faults %+v)\n",
@@ -698,8 +651,8 @@ func runXorSmoke(args []string) error {
 }
 
 // scrapeMetrics GETs a /metrics URL and parses the Prometheus text format
-// with the in-repo parser.
-func scrapeMetrics(ctx context.Context, url string) ([]obs.TextSample, error) {
+// with the in-repo parser into a key→value map.
+func scrapeMetrics(ctx context.Context, url string) (map[string]float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
@@ -715,11 +668,11 @@ func scrapeMetrics(ctx context.Context, url string) ([]obs.TextSample, error) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		return nil, fmt.Errorf("scrape %s: Content-Type %q, want text/plain", url, ct)
 	}
-	samples, err := obs.ParseText(resp.Body)
+	vals, err := obs.ParseValues(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("scrape %s: %w", url, err)
 	}
-	return samples, nil
+	return vals, nil
 }
 
 // checkRoute GETs url and verifies a 200 with the expected Content-Type

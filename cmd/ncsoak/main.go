@@ -27,21 +27,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gate"
 	"extremenc/internal/mesh"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
@@ -107,20 +104,11 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		sum.Error = err.Error()
 		if *flightRing > 0 && *flightPath != "" {
-			if werr := os.WriteFile(*flightPath, trace.DumpJSON(), 0o644); werr == nil {
-				fmt.Fprintf(stdout, "flight dump written to %s\n", *flightPath)
-			}
+			fmt.Fprintln(stdout, gate.DumpFlight(*flightPath, trace.DumpJSON()))
 		}
 	}
 	if *summaryPath != "" {
-		b, merr := json.MarshalIndent(sum, "", " ")
-		if merr != nil {
-			return errors.Join(err, merr)
-		}
-		b = append(b, '\n')
-		if werr := os.WriteFile(*summaryPath, b, 0o644); werr != nil {
-			return errors.Join(err, werr)
-		}
+		err = errors.Join(err, gate.WriteJSON(*summaryPath, sum))
 	}
 	return err
 }
@@ -143,17 +131,14 @@ type runSummary struct {
 	Error      string          `json:"error,omitempty"`
 }
 
-func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Duration, verboseV bool, stdout io.Writer, sum *runSummary) error {
-	seed, events, relays, n, k, size := &seedV, &eventsV, &relaysV, &nV, &kV, &sizeV
-	timeout, verbose := &timeoutV, &verboseV
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+func soakMain(seed int64, events, relays, n, k, size int, timeout time.Duration, verbose bool, stdout io.Writer, sum *runSummary) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
-	rng := rand.New(rand.NewSource(*seed))
-	media := make([]byte, *size)
+	rng := rand.New(rand.NewSource(seed))
+	media := make([]byte, size)
 	rng.Read(media)
-	schedule := makeSchedule(rng, *events)
+	schedule := makeSchedule(rng, events)
 	sum.Events = len(schedule)
 
 	// The leak check brackets the whole mesh lifetime.
@@ -166,44 +151,33 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 
 	topo := mesh.Topology{
 		Media:      media,
-		Params:     rlnc.Params{BlockCount: *n, BlockSize: *k},
-		Relays:     *relays,
+		Params:     rlnc.Params{BlockCount: n, BlockSize: k},
+		Relays:     relays,
 		OriginMode: netio.ModeSystematic,
 		XorRecode:  true,
-		Seed:       *seed,
+		Seed:       seed,
 		Registry:   reg,
 		Heartbeat:  10 * time.Millisecond,
 		Sweep:      25 * time.Millisecond,
 		Health:     mesh.HealthConfig{SuspectAfter: 500 * time.Millisecond, DeadAfter: 2 * time.Second},
 		UpstreamFaults: &faultnet.Config{
-			Seed: *seed + 1, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048,
+			Seed: seed + 1, CorruptEvery: 9000, ResetEvery: 6000, MaxReadChunk: 2048,
 		},
 		DownstreamFaults: &faultnet.Config{
-			Seed: *seed + 2, CorruptEvery: 9000, ResetEvery: 5000, MaxReadChunk: 2048,
+			Seed: seed + 2, CorruptEvery: 9000, ResetEvery: 5000, MaxReadChunk: 2048,
 		},
 		// Every relay (and every replacement server a drain installs) runs
-		// the brownout controller with a twitchy interval so stall waves
-		// engage the ladder in milliseconds, plus a mild pace so drains land
-		// mid-transfer rather than after the wave has already finished.
+		// the twitchy brownout controller so stall waves engage the ladder in
+		// milliseconds, plus a mild pace so drains land mid-transfer rather
+		// than after the wave has already finished.
 		RelayServerOpts: func(relay int) []netio.ServerOption {
-			opts := []netio.ServerOption{
-				netio.WithServePace(2 * time.Millisecond),
-				netio.WithEncodeBatch(2),
-				netio.WithQueueDepth(4),
-				netio.WithRetryAfter(5 * time.Millisecond),
-			}
-			bo := netio.BrownoutConfig{
-				Interval: 10 * time.Millisecond,
-				StepUp:   0.5,
-				StepDown: 0.05,
-				Hold:     2,
-			}
-			if *verbose {
-				bo.OnTransition = func(from, to netio.BrownoutRung, p float64) {
+			var onTransition func(from, to netio.BrownoutRung, p float64)
+			if verbose {
+				onTransition = func(from, to netio.BrownoutRung, p float64) {
 					fmt.Fprintf(stdout, "  brownout relay-%d: %s -> %s (pressure %.2f)\n", relay, from, to, p)
 				}
 			}
-			return append(opts, netio.WithBrownout(bo))
+			return gate.TwitchyRelay(onTransition)
 		},
 	}
 	m, err := mesh.New(topo)
@@ -216,8 +190,8 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 	defer m.Close()
 
 	s := &soak{
-		m: m, media: media, rng: rng, stdout: stdout, verbose: *verbose,
-		maxKills: *relays - 2,
+		m: m, rng: rng, stdout: stdout, verbose: verbose,
+		maxKills: relays - 2,
 	}
 	if err := s.m.WaitWarm(ctx); err != nil {
 		return err
@@ -225,11 +199,11 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 
 	start := time.Now()
 	for i, ev := range schedule {
-		if *verbose {
+		if verbose {
 			fmt.Fprintf(stdout, "event %d/%d: %s\n", i+1, len(schedule), ev)
 		}
 		if err := s.step(ctx, ev); err != nil {
-			return fmt.Errorf("event %d (%s, seed %d): %w", i+1, ev, *seed, err)
+			return fmt.Errorf("event %d (%s, seed %d): %w", i+1, ev, seed, err)
 		}
 	}
 	elapsed := time.Since(start)
@@ -239,22 +213,22 @@ func soakMain(seedV int64, eventsV, relaysV, nV, kV, sizeV int, timeoutV time.Du
 	sum.Invariants["payloads_identical"] = true // every wave byte-verified in step
 
 	if err := s.checkInvariants(ctx, reg, sum); err != nil {
-		return fmt.Errorf("invariant (seed %d): %w", *seed, err)
+		return fmt.Errorf("invariant (seed %d): %w", seed, err)
 	}
 
 	// Teardown, then the goroutine count must settle back to baseline. The
 	// sink is detached first so registry closures don't pin the mesh.
 	m.Close()
 	obs.SetSink(nil)
-	if err := waitGoroutines(baseGoroutines+3, 10*time.Second); err != nil {
+	if err := waitGoroutines(ctx, baseGoroutines+3, 10*time.Second); err != nil {
 		sum.Invariants["no_goroutine_leak"] = false
-		return fmt.Errorf("leak (seed %d): %w", *seed, err)
+		return fmt.Errorf("leak (seed %d): %w", seed, err)
 	}
 	sum.Invariants["no_goroutine_leak"] = true
 
 	fmt.Fprintf(stdout,
 		"soak ok (seed %d): %d events in %v — %d leaves byte-identical, %d drains, %d kills, %d stall waves, %d redirects honored, brownout peak rung %d\n",
-		*seed, len(schedule), elapsed.Round(time.Millisecond), s.leavesDone, s.drains, s.kills, s.stalls, s.redirects, s.peakRung)
+		seed, len(schedule), elapsed.Round(time.Millisecond), s.leavesDone, s.drains, s.kills, s.stalls, s.redirects, s.peakRung)
 	return nil
 }
 
@@ -295,7 +269,6 @@ func makeSchedule(rng *rand.Rand, events int) []event {
 // what the invariant checks need.
 type soak struct {
 	m       *mesh.Mesh
-	media   []byte
 	rng     *rand.Rand
 	stdout  io.Writer
 	verbose bool
@@ -353,30 +326,13 @@ func (s *soak) pickRelay(st mesh.State) (string, bool) {
 // in flight — its leaves must follow the REDIRECT (or be remediated) and
 // still finish intact.
 func (s *soak) leafWave(ctx context.Context, count int, drainID string) error {
-	wave := make([]*mesh.Leaf, 0, count)
-	for i := 0; i < count; i++ {
-		leaf, err := s.m.AddLeaf(ctx)
-		if err != nil {
-			return err
-		}
-		wave = append(wave, leaf)
+	wave, err := s.addLeaves(ctx, count)
+	if err != nil {
+		return err
 	}
 	if drainID != "" {
-		// Wait for motion so the drain lands mid-transfer, not before it.
-		for deadline := time.Now().Add(30 * time.Second); ; {
-			moving := 0
-			for _, leaf := range wave {
-				if leaf.Records() > 0 {
-					moving++
-				}
-			}
-			if moving == len(wave) {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("wave never started moving before draining %s", drainID)
-			}
-			time.Sleep(time.Millisecond)
+		if err := s.awaitMotion(ctx, wave, "draining "+drainID); err != nil {
+			return err
 		}
 		dctx, dcancel := context.WithTimeout(ctx, 30*time.Second)
 		err := s.m.RestartRelay(dctx, drainID)
@@ -388,48 +344,18 @@ func (s *soak) leafWave(ctx context.Context, count int, drainID string) error {
 			fmt.Fprintf(s.stdout, "  drained %s -> back at %s\n", drainID, s.addrOf(drainID))
 		}
 	}
-	if err := s.m.WaitLeaves(ctx, wave...); err != nil {
-		return err
-	}
-	for _, leaf := range wave {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, s.media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
-		s.redirects += leaf.FetchStats().AdmissionRedirected
-		s.leavesDone++
-	}
-	return nil
+	return s.finishWave(ctx, wave)
 }
 
 // killWave kills relay id mid-wave; remediation must reroute its leaves and
 // the wave must still finish byte-identical.
 func (s *soak) killWave(ctx context.Context, id string) error {
-	wave := make([]*mesh.Leaf, 0, 2)
-	for i := 0; i < 2; i++ {
-		leaf, err := s.m.AddLeaf(ctx)
-		if err != nil {
-			return err
-		}
-		wave = append(wave, leaf)
+	wave, err := s.addLeaves(ctx, 2)
+	if err != nil {
+		return err
 	}
-	for deadline := time.Now().Add(30 * time.Second); ; {
-		moving := 0
-		for _, leaf := range wave {
-			if leaf.Records() > 0 {
-				moving++
-			}
-		}
-		if moving == len(wave) {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("wave never started moving before killing %s", id)
-		}
-		time.Sleep(time.Millisecond)
+	if err := s.awaitMotion(ctx, wave, "killing "+id); err != nil {
+		return err
 	}
 	if err := s.m.KillRelay(id); err != nil {
 		return err
@@ -437,29 +363,56 @@ func (s *soak) killWave(ctx context.Context, id string) error {
 	if s.verbose {
 		fmt.Fprintf(s.stdout, "  killed %s\n", id)
 	}
-	if err := s.m.WaitLeaves(ctx, wave...); err != nil {
-		return err
-	}
-	for _, leaf := range wave {
-		res, err := leaf.Result()
+	return s.finishWave(ctx, wave)
+}
+
+func (s *soak) addLeaves(ctx context.Context, count int) ([]*mesh.Leaf, error) {
+	wave := make([]*mesh.Leaf, 0, count)
+	for i := 0; i < count; i++ {
+		leaf, err := s.m.AddLeaf(ctx)
 		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
+			return nil, err
 		}
-		if !bytes.Equal(res.Payload, s.media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
+		wave = append(wave, leaf)
+	}
+	return wave, nil
+}
+
+// awaitMotion waits until every leaf of wave has received a record, so the
+// disruption that follows lands mid-transfer, not before it.
+func (s *soak) awaitMotion(ctx context.Context, wave []*mesh.Leaf, before string) error {
+	err := gate.Poll(ctx, 30*time.Second, time.Millisecond, func() bool {
+		for _, leaf := range wave {
+			if leaf.Records() == 0 {
+				return false
+			}
 		}
-		s.redirects += leaf.FetchStats().AdmissionRedirected
-		s.leavesDone++
+		return true
+	})
+	if err != nil {
+		return fmt.Errorf("wave never started moving before %s: %w", before, err)
 	}
 	return nil
 }
 
-// stallWave aims slow clients at one relay until its brownout ladder climbs
-// at least one rung, then releases them and waits for the ladder to step all
-// the way back down. The clients hold raw sessions open without reading, so
-// pressure comes from queue occupancy and pump stalls — exactly the signal
-// the controller samples. A relay that answers a stall dial with BUSY is
-// already at the reject rung, which counts as engaged.
+// finishWave waits for wave, byte-verifies every leaf, and tallies it.
+func (s *soak) finishWave(ctx context.Context, wave []*mesh.Leaf) error {
+	if err := s.m.WaitLeaves(ctx, wave...); err != nil {
+		return err
+	}
+	if err := s.m.VerifyLeaves(wave...); err != nil {
+		return err
+	}
+	for _, leaf := range wave {
+		s.redirects += leaf.FetchStats().AdmissionRedirected
+	}
+	s.leavesDone += len(wave)
+	return nil
+}
+
+// stallWave aims slow clients at one active relay until its brownout ladder
+// climbs at least one rung, then releases them and waits for the ladder to
+// step all the way back down (gate.StallWave).
 func (s *soak) stallWave(ctx context.Context) error {
 	id, ok := s.pickRelay(mesh.StateActive)
 	if !ok {
@@ -473,78 +426,15 @@ func (s *soak) stallWave(ctx context.Context) error {
 		}
 	}
 	srv := target.Server()
-
-	var stallers []*netio.RawClient
-	defer func() {
-		for _, c := range stallers {
-			c.Close()
-		}
-	}()
-	// A BUSY answer is the reject rung speaking: the ladder is already
-	// engaged — the leaf wave before this one can leave it there — so stop
-	// dialing and go straight to hold and release.
-	busy := false
-	for i := 0; i < 4 && !busy; i++ {
-		conn, err := net.Dial("tcp", target.Addr())
-		if err != nil {
-			return err
-		}
-		raw, err := netio.NewRawClient(conn)
-		if errors.Is(err, netio.ErrAdmissionBusy) {
-			conn.Close()
-			busy = true
-			s.peakRung = max(s.peakRung, int(netio.BrownoutReject))
-			if s.verbose {
-				fmt.Fprintf(s.stdout, "  stall dial %d on %s answered BUSY (rung %s): ladder already engaged\n", i, id, srv.Rung())
-			}
-			break
-		}
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		stallers = append(stallers, raw)
-		// Drain a handful of records, then stop reading: the session stays
-		// live while the server's queue backs up behind the dead socket.
-		go func() {
-			for i := 0; i < 8; i++ {
-				if _, err := raw.Next(); err != nil {
-					return
-				}
-			}
-		}()
-	}
-
-	for deadline := time.Now().Add(20 * time.Second); !busy; {
-		if r := int(srv.Rung()); r > int(netio.BrownoutOff) {
-			if r > s.peakRung {
-				s.peakRung = r
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("brownout on %s never engaged under stall (snapshot %+v)", id, srv.Snapshot().CounterView)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Hold the pressure briefly — the ladder may climb further — then
-	// release.
-	time.Sleep(100 * time.Millisecond)
-	if r := int(srv.Rung()); r > s.peakRung {
-		s.peakRung = r
-	}
-	for _, c := range stallers {
-		c.Close()
-	}
-	stallers = nil
-
-	for deadline := time.Now().Add(20 * time.Second); srv.Rung() != netio.BrownoutOff; {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("brownout on %s never stepped back down after release (rung %s)", id, srv.Rung())
-		}
-		time.Sleep(time.Millisecond)
+	st, err := gate.StallWave(ctx, srv, target.Addr(), 100*time.Millisecond)
+	s.peakRung = max(s.peakRung, int(st.Peak))
+	if err != nil {
+		return fmt.Errorf("stall %s: %w", id, err)
 	}
 	if s.verbose {
+		if st.Busy {
+			fmt.Fprintf(s.stdout, "  stall dial on %s answered BUSY: ladder already engaged\n", id)
+		}
 		fmt.Fprintf(s.stdout, "  stalled %s: peak rung %d, transitions %d, back to off\n",
 			id, s.peakRung, srv.Snapshot().BrownoutTransitions)
 	}
@@ -571,46 +461,32 @@ func (s *soak) checkInvariants(ctx context.Context, reg *obs.Registry, sum *runS
 
 	// Every relay's ledger — across drains, kills, and survivors — must
 	// balance exactly once its sessions settle.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		var unbalanced []string
+	var unbalanced error
+	err := gate.Poll(ctx, 15*time.Second, 5*time.Millisecond, func() bool {
+		unbalanced = nil
 		for _, r := range s.m.Relays() {
-			if v := r.Ledger(); !v.Consistent() {
-				unbalanced = append(unbalanced,
-					fmt.Sprintf("%s: offered %d != sent %d + shed %d", r.ID(), v.BlocksOffered, v.BlocksSent, v.BlocksShed))
-			}
+			unbalanced = errors.Join(unbalanced, gate.Ledger(r.ID(), r.Ledger()))
 		}
-		if len(unbalanced) == 0 {
-			sum.Invariants["ledgers_balanced"] = true
-			return nil
-		}
-		if time.Now().After(deadline) {
-			sum.Invariants["ledgers_balanced"] = false
-			return fmt.Errorf("ledgers never balanced: %s", strings.Join(unbalanced, "; "))
-		}
-		select {
-		case <-ctx.Done():
-			sum.Invariants["ledgers_balanced"] = false
-			return fmt.Errorf("ledgers never balanced: %w", ctx.Err())
-		case <-time.After(5 * time.Millisecond):
-		}
+		return unbalanced == nil
+	})
+	sum.Invariants["ledgers_balanced"] = err == nil
+	if err != nil {
+		return fmt.Errorf("ledgers never balanced: %w", errors.Join(unbalanced, err))
 	}
+	return nil
 }
 
 // waitGoroutines polls until the live goroutine count settles at or below
-// limit, or the deadline passes.
-func waitGoroutines(limit int, wait time.Duration) error {
-	deadline := time.Now().Add(wait)
-	for {
+// limit, or the wait passes.
+func waitGoroutines(ctx context.Context, limit int, wait time.Duration) error {
+	err := gate.Poll(ctx, wait, 20*time.Millisecond, func() bool {
 		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= limit {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			return fmt.Errorf("%d goroutines still live (limit %d):\n%s", runtime.NumGoroutine(), limit, buf)
-		}
-		time.Sleep(20 * time.Millisecond)
+		return runtime.NumGoroutine() <= limit
+	})
+	if err != nil {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return fmt.Errorf("%d goroutines still live (limit %d): %w\n%s", runtime.NumGoroutine(), limit, err, buf)
 	}
+	return nil
 }

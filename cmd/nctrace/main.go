@@ -30,21 +30,19 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gate"
 	"extremenc/internal/gf256"
 	"extremenc/internal/mesh"
 	"extremenc/internal/netio"
@@ -142,20 +140,7 @@ func run(args []string, stdout io.Writer) error {
 		},
 		// Small queues, tiny batches, and a twitchy brownout controller so the
 		// stall wave engages the ladder in milliseconds.
-		RelayServerOpts: func(relay int) []netio.ServerOption {
-			return []netio.ServerOption{
-				netio.WithServePace(2 * time.Millisecond),
-				netio.WithEncodeBatch(2),
-				netio.WithQueueDepth(4),
-				netio.WithRetryAfter(5 * time.Millisecond),
-				netio.WithBrownout(netio.BrownoutConfig{
-					Interval: 10 * time.Millisecond,
-					StepUp:   0.5,
-					StepDown: 0.05,
-					Hold:     2,
-				}),
-			}
-		},
+		RelayServerOpts: func(int) []netio.ServerOption { return gate.TwitchyRelay(nil) },
 	}
 	m, err := mesh.New(topo)
 	if err != nil {
@@ -173,7 +158,10 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "mesh warm: %d relays at full rank\n", *relays)
 	}
 
-	if err := stallWave(ctx, m); err != nil {
+	// Pin the first relay until its ladder engages, then release it: the
+	// flight ring gets brownout transitions both ways.
+	target := m.Relays()[0]
+	if _, err := gate.StallWave(ctx, target.Server(), target.Addr(), 50*time.Millisecond); err != nil {
 		return err
 	}
 	if *verbose {
@@ -191,14 +179,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := m.WaitLeaves(ctx, wave...); err != nil {
 		return err
 	}
-	for _, leaf := range wave {
-		res, err := leaf.Result()
-		if err != nil {
-			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
-		}
-		if !bytes.Equal(res.Payload, media) {
-			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
-		}
+	if err := m.VerifyLeaves(wave...); err != nil {
+		return err
 	}
 	if *verbose {
 		fmt.Fprintf(stdout, "leaf wave: %d transfers byte-identical\n", *leaves)
@@ -316,73 +298,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if len(fails) > 0 {
-		if err := os.WriteFile(*flight, flightJSON, 0o644); err == nil {
-			fmt.Fprintf(stdout, "flight dump written to %s\n", *flight)
-		}
+		fmt.Fprintln(stdout, gate.DumpFlight(*flight, flightJSON))
 		return fmt.Errorf("trace smoke failed (seed %d):\n  - %s", *seed, strings.Join(fails, "\n  - "))
 	}
 	fmt.Fprintf(stdout, "trace smoke ok (seed %d): %d generations, %d spans, 0 orphans, %d exemplars, flight %v\n",
 		*seed, len(asm.Generations), asm.Spans, len(exemplars), flightKinds)
-	return nil
-}
-
-// stallWave pins the first relay with non-reading raw clients until its
-// brownout ladder engages, then releases them and waits for it to step back
-// to off — seeding the flight ring with brownout transitions both ways.
-func stallWave(ctx context.Context, m *mesh.Mesh) error {
-	target := m.Relays()[0]
-	srv := target.Server()
-
-	var stallers []*netio.RawClient
-	defer func() {
-		for _, c := range stallers {
-			c.Close()
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		conn, err := net.Dial("tcp", target.Addr())
-		if err != nil {
-			return err
-		}
-		raw, err := netio.NewRawClient(conn)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		stallers = append(stallers, raw)
-		go func() {
-			for i := 0; i < 8; i++ {
-				if _, err := raw.Next(); err != nil {
-					return
-				}
-			}
-		}()
-	}
-	for deadline := time.Now().Add(20 * time.Second); srv.Rung() == netio.BrownoutOff; {
-		if time.Now().After(deadline) {
-			return errors.New("brownout never engaged under stall")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	for _, c := range stallers {
-		c.Close()
-	}
-	stallers = nil
-	for deadline := time.Now().Add(20 * time.Second); srv.Rung() != netio.BrownoutOff; {
-		if time.Now().After(deadline) {
-			return errors.New("brownout never released after stall")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -254,14 +255,6 @@ func chaosDial(cfg faultnet.Config, ctr *faultnet.Counters, seq *atomic.Int64, b
 	}
 }
 
-// tcpDial returns a DialFunc for a fixed loopback address.
-func tcpDial(addr string) netio.DialFunc {
-	return func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
-}
-
 // Start brings the mesh up: origin serving on loopback, every relay
 // fetching (through upstream chaos, if configured) and serving, heartbeats
 // flowing, and the remediation loop sweeping. It returns once every relay
@@ -284,7 +277,7 @@ func (m *Mesh) Start(ctx context.Context) error {
 			m.Close()
 			return fmt.Errorf("mesh: relay %d listen: %w", i, err)
 		}
-		up := tcpDial(ln.Addr().String())
+		up := netio.DialAddr(ln.Addr().String())
 		if m.topo.UpstreamFaults != nil {
 			up = chaosDial(*m.topo.UpstreamFaults, m.upCtr, &m.upSeq, up)
 		}
@@ -456,6 +449,25 @@ func (m *Mesh) WaitLeaves(ctx context.Context, leaves ...*Leaf) error {
 	for _, leaf := range leaves {
 		if _, err := leaf.Result(); err != nil {
 			return fmt.Errorf("mesh: leaf %d: %w", leaf.ID, err)
+		}
+	}
+	return nil
+}
+
+// VerifyLeaves checks that the given finished leaves (all of the mesh's
+// leaves when none are named) each decoded the topology's media byte for
+// byte, and returns an error naming the first that failed or differs.
+func (m *Mesh) VerifyLeaves(leaves ...*Leaf) error {
+	if len(leaves) == 0 {
+		leaves = m.leaves
+	}
+	for _, leaf := range leaves {
+		res, err := leaf.Result()
+		if err != nil {
+			return fmt.Errorf("leaf %d: %w", leaf.ID, err)
+		}
+		if !bytes.Equal(res.Payload, m.topo.Media) {
+			return fmt.Errorf("leaf %d: payload differs from origin media", leaf.ID)
 		}
 	}
 	return nil

@@ -3,10 +3,10 @@ package mesh
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"extremenc/internal/faultnet"
+	"extremenc/internal/gate"
 	"extremenc/internal/netio"
 	"extremenc/internal/obs"
 	"extremenc/internal/obs/trace"
@@ -39,33 +40,8 @@ func flightDumpOnFailure(t *testing.T) {
 		if !t.Failed() {
 			return
 		}
-		path := filepath.Join("..", "..", "flight-mesh.json")
-		if err := os.WriteFile(path, trace.DumpJSON(), 0o644); err != nil {
-			t.Logf("flight dump: %v", err)
-			return
-		}
-		t.Logf("flight recorder dumped to %s", path)
+		t.Log(gate.DumpFlight(filepath.Join("..", "..", "flight-mesh.json"), trace.DumpJSON()))
 	})
-}
-
-// startOrigin brings up a plain origin server on loopback for single-relay
-// tests.
-func startOrigin(t *testing.T, media []byte, p rlnc.Params, opts ...netio.ServerOption) (*netio.Server, net.Listener) {
-	t.Helper()
-	srv, err := netio.NewServer(media, p, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	go srv.Serve(context.Background(), l)
-	t.Cleanup(func() {
-		srv.Shutdown()
-		l.Close()
-	})
-	return srv, l
 }
 
 // TestRelayServesRecodedBlocks: origin → relay → leaf, all dense. The leaf
@@ -75,7 +51,11 @@ func startOrigin(t *testing.T, media []byte, p rlnc.Params, opts ...netio.Server
 func TestRelayServesRecodedBlocks(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 3*p.SegmentSize()-11, 5)
-	_, ol := startOrigin(t, media, p, netio.WithServerSeed(2))
+	_, origin, stop, err := gate.Serve(media, p, netio.WithServerSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
 
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -84,7 +64,7 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	relay, err := StartRelay(ctx, RelayConfig{
-		ID: "r0", Upstream: tcpDial(ol.Addr().String()), Listener: rln, Seed: 9,
+		ID: "r0", Upstream: netio.DialAddr(origin), Listener: rln, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +74,7 @@ func TestRelayServesRecodedBlocks(t *testing.T) {
 		t.Fatalf("dense relay declares mode %v", relay.Info().Mode)
 	}
 
-	f := netio.NewFetcher(tcpDial(relay.Addr()))
+	f := netio.NewFetcher(netio.DialAddr(relay.Addr()))
 	res, err := f.Fetch(ctx)
 	if err != nil {
 		t.Fatalf("fetch through relay: %v (stats %+v)", err, res.Stats)
@@ -148,8 +128,12 @@ func TestWaitWarmCountsLiveRelays(t *testing.T) {
 func TestRelayXorRecode(t *testing.T) {
 	p := rlnc.Params{BlockCount: 8, BlockSize: 128}
 	media := testMedia(t, 2*p.SegmentSize()-7, 31)
-	_, ol := startOrigin(t, media, p,
+	_, origin, stop, err := gate.Serve(media, p,
 		netio.WithServerSeed(3), netio.WithWireMode(netio.ModeSystematic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
 
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -158,7 +142,7 @@ func TestRelayXorRecode(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	relay, err := StartRelay(ctx, RelayConfig{
-		ID: "rx", Upstream: tcpDial(ol.Addr().String()), Listener: rln,
+		ID: "rx", Upstream: netio.DialAddr(origin), Listener: rln,
 		Seed: 13, XorRecode: true,
 	})
 	if err != nil {
@@ -169,7 +153,7 @@ func TestRelayXorRecode(t *testing.T) {
 		t.Fatalf("xor relay declares mode %v, want systematic", relay.Info().Mode)
 	}
 
-	f := netio.NewFetcher(tcpDial(relay.Addr()))
+	f := netio.NewFetcher(netio.DialAddr(relay.Addr()))
 	res, err := f.Fetch(ctx)
 	if err != nil {
 		t.Fatalf("fetch through xor relay: %v (stats %+v)", err, res.Stats)
@@ -296,11 +280,11 @@ func TestMeshSmoke(t *testing.T) {
 		t.Fatalf("mesh wave: %v", err)
 	}
 	meshElapsed := time.Since(meshStart)
+	if err := m.VerifyLeaves(); err != nil {
+		t.Fatalf("mesh wave: %v", err)
+	}
 	for _, leaf := range m.Leaves() {
 		res, _ := leaf.Result()
-		if !bytes.Equal(res.Payload, media) {
-			t.Fatalf("leaf %d payload differs", leaf.ID)
-		}
 		t.Logf("mesh leaf %d: %v, records %d, reconnects %d, stats %+v",
 			leaf.ID, leaf.Duration(), leaf.Records(), leaf.Reconnects(), res.Stats)
 	}
@@ -317,7 +301,7 @@ func TestMeshSmoke(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			dial := chaosDial(*topo.DownstreamFaults, &baseCtr, &baseSeq, tcpDial(m.OriginAddr()))
+			dial := chaosDial(*topo.DownstreamFaults, &baseCtr, &baseSeq, netio.DialAddr(m.OriginAddr()))
 			f := netio.NewFetcher(dial,
 				netio.WithBackoff(2*time.Millisecond, 50*time.Millisecond),
 				netio.WithBackoffSeed(int64(9000+i)))
@@ -360,11 +344,8 @@ func TestMeshSmoke(t *testing.T) {
 	default:
 		t.Fatal("kill trigger never fired: wave 2 finished under 30 records?")
 	}
-	for _, leaf := range wave2 {
-		res, _ := leaf.Result()
-		if !bytes.Equal(res.Payload, media) {
-			t.Fatalf("post-kill leaf %d payload differs", leaf.ID)
-		}
+	if err := m.VerifyLeaves(wave2...); err != nil {
+		t.Fatalf("post-kill: %v", err)
 	}
 
 	// Monotone rank: no leaf reconnect, across both waves and the kills,
@@ -375,30 +356,14 @@ func TestMeshSmoke(t *testing.T) {
 
 	// Leg 3: the control plane saw it all. Death declaration lags the kill
 	// by the detector thresholds, so poll briefly.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if v, _ := reg.CounterValue("mesh.relay_deaths_total"); v >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("health detector declared %d deaths, want 2 (pool %+v)",
-				func() int64 { v, _ := reg.CounterValue("mesh.relay_deaths_total"); return v }(),
-				m.Pool().Snapshot())
-		}
-		time.Sleep(5 * time.Millisecond)
+	deaths := func() int64 { v, _ := reg.CounterValue("mesh.relay_deaths_total"); return v }
+	if err := gate.Poll(ctx, 10*time.Second, 5*time.Millisecond, func() bool { return deaths() >= 2 }); err != nil {
+		t.Fatalf("health detector declared %d deaths, want 2 (pool %+v): %v", deaths(), m.Pool().Snapshot(), err)
 	}
 
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText(strings.NewReader(sb.String()))
+	byName, err := reg.Scrape()
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
-	}
-	byName := map[string]float64{}
-	for _, s := range samples {
-		byName[s.Key()] = s.Value
 	}
 	for _, want := range []struct {
 		name string
@@ -542,20 +507,16 @@ func TestMeshRollingRestart(t *testing.T) {
 		}()
 
 		// Every leaf must be demonstrably mid-transfer before the drain.
-		for deadline := time.Now().Add(30 * time.Second); ; {
-			moving := 0
+		err = gate.Poll(ctx, 30*time.Second, time.Millisecond, func() bool {
 			for _, leaf := range leaves {
-				if leaf.Records() > 0 {
-					moving++
+				if leaf.Records() == 0 {
+					return false
 				}
 			}
-			if moving == len(leaves) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("wave never started moving before draining %s", relayID)
-			}
-			time.Sleep(time.Millisecond)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("wave never started moving before draining %s: %v", relayID, err)
 		}
 
 		before := redirected(leaves)
@@ -565,15 +526,18 @@ func TestMeshRollingRestart(t *testing.T) {
 		// The pool must report the drain, and some leaf must follow the
 		// REDIRECT to a survivor while the pinned session holds the drain open.
 		sawDraining := false
-		for deadline := time.Now().Add(30 * time.Second); redirected(leaves) == before; {
+		err = gate.Poll(ctx, 30*time.Second, time.Millisecond, func() bool {
+			if redirected(leaves) != before {
+				return true
+			}
 			if st, ok := m.Pool().StateOf(relayID); ok && st == StateDraining {
 				sawDraining = true
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no leaf followed a REDIRECT off draining %s (pool %+v)",
-					relayID, m.Pool().Snapshot())
-			}
-			time.Sleep(time.Millisecond)
+			return false
+		})
+		if err != nil {
+			t.Fatalf("no leaf followed a REDIRECT off draining %s (pool %+v): %v",
+				relayID, m.Pool().Snapshot(), err)
 		}
 		if !sawDraining {
 			if st, ok := m.Pool().StateOf(relayID); !ok || st != StateDraining {
@@ -588,15 +552,13 @@ func TestMeshRollingRestart(t *testing.T) {
 		if err := <-restartDone; err != nil {
 			t.Fatalf("RestartRelay(%s): %v", relayID, err)
 		}
-		for deadline := time.Now().Add(10 * time.Second); ; {
-			if st, _ := m.Pool().StateOf(relayID); st == StateActive {
-				break
-			}
-			if time.Now().After(deadline) {
-				st, _ := m.Pool().StateOf(relayID)
-				t.Fatalf("%s never rejoined the rotation (state %v)", relayID, st)
-			}
-			time.Sleep(time.Millisecond)
+		err = gate.Poll(ctx, 10*time.Second, time.Millisecond, func() bool {
+			st, _ := m.Pool().StateOf(relayID)
+			return st == StateActive
+		})
+		if err != nil {
+			st, _ := m.Pool().StateOf(relayID)
+			t.Fatalf("%s never rejoined the rotation (state %v): %v", relayID, st, err)
 		}
 		addr, _ := m.Pool().Addr(relayID)
 		if addr != relay.Addr() {
@@ -612,11 +574,11 @@ func TestMeshRollingRestart(t *testing.T) {
 	// answers BUSY until remediation's sweep moves the leaf.
 	allActive := func() {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); len(m.Pool().InState(StateActive)) < topo.Relays; {
-			if time.Now().After(deadline) {
-				t.Fatalf("relays never all active: %+v", m.Pool().Snapshot())
-			}
-			time.Sleep(time.Millisecond)
+		err := gate.Poll(ctx, 10*time.Second, time.Millisecond, func() bool {
+			return len(m.Pool().InState(StateActive)) == topo.Relays
+		})
+		if err != nil {
+			t.Fatalf("relays never all active: %+v: %v", m.Pool().Snapshot(), err)
 		}
 	}
 
@@ -641,11 +603,8 @@ func TestMeshRollingRestart(t *testing.T) {
 		if err := m.WaitLeaves(ctx, wave...); err != nil {
 			t.Fatalf("wave %d: %v (snapshot %+v)", round, err, m.Snapshot())
 		}
-		for _, leaf := range wave {
-			res, _ := leaf.Result()
-			if !bytes.Equal(res.Payload, media) {
-				t.Fatalf("wave %d leaf %d payload differs", round, leaf.ID)
-			}
+		if err := m.VerifyLeaves(wave...); err != nil {
+			t.Fatalf("wave %d: %v", round, err)
 		}
 	}
 
@@ -656,47 +615,30 @@ func TestMeshRollingRestart(t *testing.T) {
 
 	// The per-relay ledgers — drained relays across their restarts and the
 	// untouched survivor alike — must balance exactly once sessions settle.
-	balanced := func() bool {
+	var unbalanced error
+	err = gate.Poll(ctx, 10*time.Second, 5*time.Millisecond, func() bool {
+		unbalanced = nil
 		for _, r := range m.Relays() {
-			if v := r.Ledger(); v.BlocksOffered != v.BlocksSent+v.BlocksShed {
-				return false
-			}
+			unbalanced = errors.Join(unbalanced, gate.Ledger(r.ID(), r.Ledger()))
 		}
-		return true
-	}
-	for deadline := time.Now().Add(10 * time.Second); !balanced(); {
-		if time.Now().After(deadline) {
-			for _, r := range m.Relays() {
-				t.Logf("%s ledger: %+v", r.ID(), r.Ledger())
-			}
-			t.Fatal("relay ledgers never balanced after the waves")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return unbalanced == nil
+	})
+	if err != nil {
+		t.Fatalf("relay ledgers never balanced after the waves: %v", errors.Join(unbalanced, err))
 	}
 
 	// And the same invariant must be visible in one scraped exposition.
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText(strings.NewReader(sb.String()))
+	byName, err := reg.Scrape()
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	byName := map[string]float64{}
-	for _, s := range samples {
-		byName[s.Key()] = s.Value
-	}
 	for i := range m.Relays() {
-		offered := byName[fmt.Sprintf("mesh_relay%d_blocks_offered", i)]
-		sent := byName[fmt.Sprintf("mesh_relay%d_blocks_sent", i)]
-		shed := byName[fmt.Sprintf("mesh_relay%d_blocks_shed", i)]
-		if offered == 0 {
+		prefix := fmt.Sprintf("mesh_relay%d", i)
+		if byName[prefix+"_blocks_offered"] == 0 {
 			t.Errorf("relay %d exposition ledger empty", i)
 		}
-		if offered != sent+shed {
-			t.Errorf("relay %d exposition ledger: offered %v != sent %v + shed %v",
-				i, offered, sent, shed)
+		if err := gate.ScrapedLedger(byName, prefix); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -22,10 +22,10 @@ import (
 //
 // It is also the observability acceptance gate: server, fetcher, and chaos
 // link all register into one obs.Registry with stage spans enabled, and a
-// single text-format exposition taken during the run must carry the server
-// block counters, the fetcher reconnect/backoff ledger, the faultnet
-// injection counters, and at least three stage-latency histograms with
-// nonzero p50/p99.
+// single text-format exposition taken once the server has shut down must
+// carry the server block counters, the fetcher reconnect/backoff ledger, the
+// faultnet injection counters, and at least three stage-latency histograms
+// with nonzero p50/p99.
 //
 // The fault rates are picked against the record size (96 wire bytes at
 // n=8, k=64): roughly one corrupted byte per ~15 records (~1% of wire
@@ -61,10 +61,7 @@ func TestChaosFetch(t *testing.T) {
 		StallEvery:   2000,
 		Stall:        time.Millisecond,
 		MaxReadChunk: 512,
-	}, func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	}, DialAddr(l.Addr().String()))
 	if err := ctr.Register(reg, "faultnet"); err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +121,9 @@ func TestChaosFetch(t *testing.T) {
 		t.Fatal("chaos fetch discarded no bytes")
 	}
 
+	// Shutdown waits for every pump, so no Observe can land between the
+	// text exposition and the histogram views the check compares it with.
+	srv.Shutdown()
 	assertChaosExposition(t, reg, res.Stats)
 }
 
@@ -162,10 +162,7 @@ func TestChaosFetchSystematic(t *testing.T) {
 		StallEvery:   2000,
 		Stall:        time.Millisecond,
 		MaxReadChunk: 512,
-	}, func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	}, DialAddr(l.Addr().String()))
 	if err := ctr.Register(reg, "faultnet"); err != nil {
 		t.Fatal(err)
 	}
@@ -212,17 +209,9 @@ func TestChaosFetchSystematic(t *testing.T) {
 // every surface in one vocabulary, with real latency distributions.
 func assertChaosExposition(t *testing.T, reg *obs.Registry, stats *FetchStats) {
 	t.Helper()
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatalf("exposition failed: %v", err)
-	}
-	samples, err := obs.ParseText(strings.NewReader(sb.String()))
+	byKey, err := reg.Scrape()
 	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
-	}
-	byKey := map[string]float64{}
-	for _, s := range samples {
-		byKey[s.Key()] = s.Value
+		t.Fatalf("exposition does not parse: %v", err)
 	}
 	// One scrape must carry all four surfaces, nonzero.
 	for _, series := range []string{

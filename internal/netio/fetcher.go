@@ -54,6 +54,15 @@ var (
 // for the initial connection and again for every reconnect.
 type DialFunc func(ctx context.Context) (net.Conn, error)
 
+// DialAddr returns a DialFunc that opens a TCP connection to the fixed
+// address addr.
+func DialAddr(addr string) DialFunc {
+	return func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+}
+
 // FetchResult is everything a fetch produced, returned even when the fetch
 // failed: RLNC progress is rank, and rank is never worth discarding.
 type FetchResult struct {

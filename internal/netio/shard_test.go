@@ -251,10 +251,7 @@ func TestChaosFetchSharded(t *testing.T) {
 		StallEvery:   2000,
 		Stall:        time.Millisecond,
 		MaxReadChunk: 512,
-	}, func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", l.Addr().String())
-	})
+	}, DialAddr(l.Addr().String()))
 	if err := ctr.Register(reg, "faultnet"); err != nil {
 		t.Fatal(err)
 	}
@@ -293,24 +290,15 @@ func TestChaosFetchSharded(t *testing.T) {
 		}
 	}
 	// The shard count is part of the scraped exposition.
-	var sb bytes.Buffer
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText(bytes.NewReader(sb.Bytes()))
+	vals, err := reg.Scrape()
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, s := range samples {
-		if s.Key() == "netio_pump_shards" {
-			found = true
-			if s.Value != 4 {
-				t.Fatalf("netio_pump_shards = %v, want 4", s.Value)
-			}
-		}
-	}
-	if !found {
+	shards, ok := vals["netio_pump_shards"]
+	if !ok {
 		t.Fatal("netio_pump_shards missing from the exposition")
+	}
+	if shards != 4 {
+		t.Fatalf("netio_pump_shards = %v, want 4", shards)
 	}
 }

@@ -76,6 +76,42 @@ func TestWriteTextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegistryScrape: Scrape is the WriteText → ParseText round trip keyed by
+// TextSample.Key — one entry per sample line, histogram buckets under their
+// le label.
+func TestRegistryScrape(t *testing.T) {
+	reg := buildTestRegistry()
+	vals, err := reg.Scrape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := reg.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParseText(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != len(samples) {
+		t.Fatalf("Scrape holds %d keys, exposition has %d samples", len(vals), len(samples))
+	}
+	for _, s := range samples {
+		if got, ok := vals[s.Key()]; !ok || got != s.Value {
+			t.Errorf("Scrape[%s] = %v (present %v), exposition says %v", s.Key(), got, ok, s.Value)
+		}
+	}
+	for key, want := range map[string]float64{
+		"net_blocks_sent":                     42,
+		"rlnc_encode_batch_count":             3,
+		`rlnc_encode_batch_bucket{le="+Inf"}`: 3,
+	} {
+		if vals[key] != want {
+			t.Errorf("Scrape[%s] = %v, want %v", key, vals[key], want)
+		}
+	}
+}
+
 // TestParseTextRejectsGarbage pins the parser's error behavior.
 func TestParseTextRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{

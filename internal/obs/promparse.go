@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -72,6 +73,31 @@ func ParseText(r io.Reader) ([]TextSample, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ParseValues parses a text exposition like ParseText and returns each
+// sample's value keyed by TextSample.Key, so a histogram bucket reads as
+// name_bucket{le="..."}.
+func ParseValues(r io.Reader) (map[string]float64, error) {
+	samples, err := ParseText(r)
+	if err != nil {
+		return nil, err
+	}
+	vals := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		vals[s.Key()] = s.Value
+	}
+	return vals, nil
+}
+
+// Scrape renders r's text exposition and parses it back with ParseValues:
+// the values a /metrics scraper would read, through the same text path.
+func (r *Registry) Scrape() (map[string]float64, error) {
+	var b bytes.Buffer
+	if err := r.WriteText(&b); err != nil {
+		return nil, err
+	}
+	return ParseValues(&b)
 }
 
 func validMetricName(name string) bool {
